@@ -15,7 +15,7 @@ File formats, bit-exactly:
   a signed power of two (``2^-100``, ``-2^3.5``); zeros are dropped.
 * config files: ``key = value`` lines with the long-flag names
   (``function_path``, ``vector_path``, ``m``, ``depth``, ``k_list``, ``q``,
-  ``tol``, ``seed``, ``out``, ``fmt``); explicit flags override.
+  ``seed``, ``out``, ``fmt``); explicit flags override.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ class SuiteConfig:
     depth: int = 30
     k_list: list[int] = field(default_factory=lambda: [2, 4, 8, 16])
     q: float = 2.0
-    tol: float = 1e-13
     seed: int = 0
     out: str | None = None
     fmt: str = "text"
@@ -101,7 +100,7 @@ def run_suite(config: SuiteConfig) -> Report:
     if config.command == "norm":
         M = _load_function(config)
         x = _load_vector(config)
-        value = luxemburg_norm(M, x, Tolerance(rel=config.tol))
+        value = luxemburg_norm(M, x)
         row = CheckRow(
             check="luxemburg-norm",
             lhs_log2=value.log2mag if value.sign != 0 else -math.inf,
@@ -227,7 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, help="scan depth / second grid range")
     p.add_argument("--k-list", dest="k_list", help="comma-separated scaling factors")
     p.add_argument("--q", type=float, help="power exponent for the cq scan")
-    p.add_argument("--tol", type=float, help="relative tolerance override")
     p.add_argument("--seed", type=int, help="seed for randomized suites")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", dest="fmt", choices=FORMATS, help="output format")
@@ -241,7 +239,7 @@ def _config_from_args(args: argparse.Namespace) -> SuiteConfig:
         for key, raw in kv.items():
             if key in ("m", "depth", "seed"):
                 values[key] = int(raw)
-            elif key in ("q", "tol"):
+            elif key == "q":
                 values[key] = float(raw)
             elif key == "k_list":
                 values[key] = [int(tok) for tok in raw.replace(",", " ").split()]
@@ -249,7 +247,7 @@ def _config_from_args(args: argparse.Namespace) -> SuiteConfig:
                 values[key] = raw
             else:
                 raise ValueError(f"unknown config key {key!r}")
-    for key in ("function_path", "vector_path", "m", "depth", "q", "tol", "seed", "out", "fmt"):
+    for key in ("function_path", "vector_path", "m", "depth", "q", "seed", "out", "fmt"):
         v = getattr(args, key, None)
         if v is not None:
             values[key] = v

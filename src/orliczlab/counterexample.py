@@ -21,8 +21,6 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .logreal import LogReal, Tolerance, log2_add
 from .orlicz import (
     DEFAULT_TAIL_TOL,
@@ -32,7 +30,7 @@ from .orlicz import (
 )
 from .renorm import EtaSequence
 from .reports import CheckRow, Report
-from .vectors import DEFAULT_NORM_TOL, FiniteVector, _head_norms_log2
+from .vectors import FiniteVector, _norm_log2
 
 _LOG2E = 1.0 / math.log(2.0)
 
@@ -376,7 +374,6 @@ def greedy_nk(
     t_seq: Callable[[int], LogReal],
     depth: int,
     search_cap: int = 5000,
-    tol: Tolerance = DEFAULT_NORM_TOL,
 ) -> GreedyTrace:
     """Smallest-index greedy fill-in under the weighted-norm budget.
 
@@ -387,7 +384,7 @@ def greedy_nk(
 
     Each accepted coordinate is <= every earlier one, so the prefix is its own
     rearrangement and the new renormed value is max(previous value,
-    eta_k * head-k norm): one fresh bisection per candidate.
+    eta_k * head-k norm): one Newton solve per candidate.
     """
     if alpha_threshold.sign <= 0:
         raise ValueError(f"alpha threshold must be positive, got {alpha_threshold}")
@@ -409,7 +406,7 @@ def greedy_nk(
         # must keep n unchanged at this step
         force_same = False
         if chosen:
-            single = eta.log2(1) + _single_norm_log2(M, t_seq(chosen[-1]).log2mag, tol)
+            single = eta.log2(1) + _single_norm_log2(M, t_seq(chosen[-1]).log2mag)
             bound = eta.log2(k) + log2_add(prev_value, single)
             force_same = bound <= alpha_log2 + slack
         count = 0
@@ -420,8 +417,7 @@ def greedy_nk(
             cand = coords_log2 + [t_n.log2mag]
             if len(cand) >= 2 and cand[-1] > cand[-2] + 1e-12:
                 raise ValueError("t-sequence must be nonincreasing along the scan")
-            head = _head_norms_log2(M, np.array(cand), tol, heads=np.array([k - 1]))
-            new_value = max(prev_value, eta.log2(k) + float(head[0]))
+            new_value = max(prev_value, eta.log2(k) + _norm_log2(M, cand))
             if eta.log2(k) + new_value <= alpha_log2 + slack:
                 break
             n += 1
@@ -445,7 +441,7 @@ def greedy_nk(
     )
 
 
-def _single_norm_log2(M: DyadicOrliczFunction, coord_log2: float, tol: Tolerance) -> float:
+def _single_norm_log2(M: DyadicOrliczFunction, coord_log2: float) -> float:
     return coord_log2 - M.inverse_log2(0.0)
 
 
@@ -472,7 +468,6 @@ def attainment_failure_probe(
     t_seq: Callable[[int], LogReal] = default_probe_t,
     alpha_threshold: LogReal | None = None,
     search_cap: int = 5000,
-    tol: Tolerance = DEFAULT_NORM_TOL,
     slack_log2: float = 1e-11,
 ) -> Report:
     """Greedy-fill a vector, then watch the renormed truncation values v_k.
@@ -487,7 +482,7 @@ def attainment_failure_probe(
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     alpha = alpha_threshold if alpha_threshold is not None else LogReal.one()
-    trace = greedy_nk(M, eta, alpha, t_seq, depth, search_cap=search_cap, tol=tol)
+    trace = greedy_nk(M, eta, alpha, t_seq, depth, search_cap=search_cap)
     v = trace.prefix_value_log2
     rows = []
     strict = True

@@ -158,12 +158,6 @@ class LogReal:
     def __sub__(self, other: "LogReal") -> "LogReal":
         return self + (-other)
 
-    def scale_pow2(self, exponent: float) -> "LogReal":
-        """Multiply by 2^exponent; exact shift of the stored exponent."""
-        if self.sign == 0:
-            return _ZERO
-        return LogReal(self.sign, self.log2mag + exponent)
-
     # -- ordering ----------------------------------------------------------
 
     def _cmp(self, other: "LogReal", abs_log2: float) -> int:

@@ -15,9 +15,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Sequence
 
 from .logreal import LogReal, Tolerance, ZERO, log2_add, log2_sub
 
@@ -70,17 +68,21 @@ class SlopeSequence:
 
     def validate(self, upto: int) -> None:
         """Check positivity and monotonicity on indices [0, upto]."""
-        prev = math.inf
-        for n in range(upto + 1):
-            v = self.log2_slope(n)
-            if math.isnan(v) or v == math.inf:
-                raise SlopeSequenceError(n, f"slope at index {n} is not a positive real")
-            if v > prev:
-                raise SlopeSequenceError(
-                    n, f"slope sequence increases at index {n}: "
-                       f"log2 b({n - 1}) = {prev} < log2 b({n}) = {v}"
-                )
-            prev = v
+        _check_log2_slopes((self.log2_slope(n) for n in range(upto + 1)), 0, math.inf)
+
+
+def _check_log2_slopes(logs: Iterable[float], first: int, prev: float) -> None:
+    """Raise unless logs (log2 b(first), log2 b(first + 1), ...) are log2 of
+    positive reals, each at most the one before, starting from prev."""
+    for n, v in enumerate(logs, start=first):
+        if math.isnan(v) or v == math.inf:
+            raise SlopeSequenceError(n, f"slope at index {n} is not a positive real")
+        if v > prev:
+            raise SlopeSequenceError(
+                n, f"slope sequence increases at index {n}: "
+                   f"log2 b({n - 1}) = {prev} < log2 b({n}) = {v}"
+            )
+        prev = v
 
 
 def slopes_from_list(values: Sequence[LogReal]) -> SlopeSequence:
@@ -142,8 +144,9 @@ class DyadicOrliczFunction:
         # below tail_tol.rel regardless of the slopes.
         self._lookahead = max(8, int(math.ceil(-math.log2(tail_tol.rel))) + 2)
         self._lock = threading.Lock()
-        self._logb = np.empty(0, dtype=np.float64)   # log2 b(n)
-        self._logM = np.empty(0, dtype=np.float64)   # log2 M(2^(-n))
+        # published tables are replaced, never mutated, so readers need no lock
+        self._logb: list[float] = []   # log2 b(n)
+        self._logM: list[float] = []   # log2 M(2^(-n))
         self._depth = -1
         self._ensure_depth(8)
 
@@ -161,30 +164,22 @@ class DyadicOrliczFunction:
             depth = max(depth, 2 * max(self._depth, 4))
             depth = min(depth, _MAX_TABLE_DEPTH)
             hi = depth + self._lookahead
-            logb_ext = np.array(
-                [self.slopes.log2_slope(n) for n in range(self._depth + 1, hi + 1)],
-                dtype=np.float64,
-            )
+            logb_ext = [self.slopes.log2_slope(n) for n in range(self._depth + 1, hi + 1)]
             # monotonicity across the extension seam and inside the new window
-            prev = self._logb[-1] if self._logb.size else math.inf
-            for off, v in enumerate(logb_ext):
-                n = self._depth + 1 + off
-                if math.isnan(v) or v == math.inf:
-                    raise SlopeSequenceError(n, f"slope at index {n} is not a positive real")
-                if v > prev:
-                    raise SlopeSequenceError(n, f"slope sequence increases at index {n}")
-                prev = v
-            logb_all = np.concatenate([self._logb, logb_ext]) if self._logb.size else logb_ext
+            _check_log2_slopes(
+                logb_ext, self._depth + 1, self._logb[-1] if self._logb else math.inf
+            )
+            logb_all = self._logb + logb_ext
             # tail sums, deepest first: logM[n] = log2(b(n) 2^(-n-1) + M(2^(-n-1)))
             acc = -math.inf
-            new_logM = np.empty(depth - self._depth, dtype=np.float64)
+            new_logM = []
             for n in range(hi, self._depth, -1):
                 acc = log2_add(acc, logb_all[n] - n - 1.0)
                 if n <= depth:
-                    new_logM[n - self._depth - 1] = acc
+                    new_logM.append(acc)
             # existing shallow entries keep their first-computed values
-            self._logM = np.concatenate([self._logM, new_logM]) if self._logM.size else new_logM
-            self._logb = logb_all[: depth + 1].copy()
+            self._logM = self._logM + new_logM[::-1]
+            self._logb = logb_all[: depth + 1]
             self._depth = depth
 
     def breakpoint_log2(self, n: int) -> float:
@@ -192,13 +187,18 @@ class DyadicOrliczFunction:
         if n < 0:
             raise IndexError(f"breakpoint index must be >= 0, got {n}")
         self._ensure_depth(n)
-        return float(self._logM[n])
+        return self._logM[n]
 
     def breakpoint_value(self, n: int) -> LogReal:
         return LogReal.from_log2(self.breakpoint_log2(n))
 
     def slope(self, n: int) -> LogReal:
         return self.slopes.b(n)
+
+    def segment_tables(self, depth: int) -> tuple[list[float], list[float]]:
+        """The log2 b(n) and log2 M(2^(-n)) tables, both defined up to n = depth."""
+        self._ensure_depth(depth)
+        return self._logb, self._logM
 
     # -- evaluation ------------------------------------------------------------
 
@@ -210,32 +210,17 @@ class DyadicOrliczFunction:
         if n < 0:
             n = 0
         self._ensure_depth(n + 1)
-        base = float(self._logM[n + 1])          # M at the left breakpoint 2^(-n-1)
+        base = self._logM[n + 1]                 # M at the left breakpoint 2^(-n-1)
         d = -(n + 1.0) - u                       # < 0 except float fuzz
         if d >= 0.0:
             return base
         one_minus = -math.expm1(d * _LN2)        # 1 - 2^d, accurate near d = 0
-        seg = float(self._logb[n]) + u + math.log(one_minus) * _LOG2E
+        seg = self._logb[n] + u + math.log(one_minus) * _LOG2E
         return log2_add(base, seg)
 
-    def eval_log2_array(self, u: np.ndarray) -> np.ndarray:
-        """Vectorized eval_log2; entries of -inf pass through."""
-        u = np.asarray(u, dtype=np.float64)
-        finite = u != -np.inf
-        out = np.full(u.shape, -np.inf)
-        if not finite.any():
-            return out
-        uf = u[finite]
-        n = np.floor(-uf).astype(np.int64)
-        np.maximum(n, 0, out=n)
-        self._ensure_depth(int(n.max()) + 1)
-        base = self._logM[n + 1]
-        d = -(n + 1.0) - uf
-        np.minimum(d, -1e-300, out=d)  # guard the excluded boundary d == 0
-        with np.errstate(divide="ignore"):
-            seg = self._logb[n] + uf + np.log2(-np.expm1(d * _LN2))
-        out[finite] = np.logaddexp2(base, seg)
-        return out
+    def eval_log2_array(self, u: Iterable[float]) -> list[float]:
+        """eval_log2 over a sequence; entries of -inf pass through."""
+        return [self.eval_log2(float(v)) for v in u]
 
     def eval(self, t: LogReal) -> LogReal:
         """M(t) for t >= 0."""
@@ -252,20 +237,20 @@ class DyadicOrliczFunction:
         if ylog == -math.inf:
             return -math.inf
         self._ensure_depth(8)
-        if ylog >= float(self._logM[1]):
+        if ylog >= self._logM[1]:
             # single ray of slope b(0) above t = 1/2
-            diff = log2_sub(ylog, float(self._logM[1]))
-            return log2_add(-1.0, diff - float(self._logb[0]))
+            diff = log2_sub(ylog, self._logM[1])
+            return log2_add(-1.0, diff - self._logb[0])
         n = 1
         while True:
             self._ensure_depth(n + 2)
-            if float(self._logM[n + 1]) < ylog:
+            if self._logM[n + 1] < ylog:
                 break
             n += 1
             if n > _MAX_TABLE_DEPTH:
                 raise ValueError("inverse argument below the supported scale")
-        diff = log2_sub(ylog, float(self._logM[n + 1]))
-        return log2_add(-(n + 1.0), diff - float(self._logb[n]))
+        diff = log2_sub(ylog, self._logM[n + 1])
+        return log2_add(-(n + 1.0), diff - self._logb[n])
 
     def inverse(self, y: LogReal) -> LogReal:
         """The t >= 0 with M(t) = y; exact on the located linear segment."""
@@ -384,8 +369,8 @@ def ratio_inf(
     M._ensure_depth(n0 + depth + 1)
     bp_logs = []
     for n in range(n0, n0 + depth + 1):
-        num = float(M._logM[n - m]) if n >= m else M.eval_log2(float(m - n))
-        r = num - float(M._logM[n])
+        num = M._logM[n - m] if n >= m else M.eval_log2(float(m - n))
+        r = num - M._logM[n]
         grid.append((-float(n),))
         logs.append(r)
         bp_logs.append(r)
@@ -455,10 +440,10 @@ def compute_cq(
     slope_arg = (0, 0)
     for mm in range(1, m_max + 1):
         for nn in range(1, n_max + 1):
-            v = float(M._logM[mm + nn]) - float(M._logM[nn]) + mm * q
+            v = M._logM[mm + nn] - M._logM[nn] + mm * q
             grid.append((float(mm), float(nn)))
             logs.append(v)
-            s = float(M._logb[mm + nn]) - float(M._logb[nn]) + mm * (q - 1.0)
+            s = M._logb[mm + nn] - M._logb[nn] + mm * (q - 1.0)
             if s > slope_best:
                 slope_best = s
                 slope_arg = (mm, nn)

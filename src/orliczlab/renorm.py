@@ -17,16 +17,15 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
-import numpy as np
-
-from .logreal import LogReal, Tolerance, ZERO
+from .logreal import LogReal, ZERO
 from .orlicz import DyadicOrliczFunction, ratio_inf
-from .vectors import DEFAULT_NORM_TOL, FiniteVector, _head_norms_log2
+from .vectors import FiniteVector, _prefix_norms_log2
 
-# slack used when locating maxima / attainment among independently bisected
-# norm values; ties resolve to the smallest index
+# slack used when locating maxima / attainment among norm values that each
+# carry their own rounding; ties resolve to the smallest index
 _TIE_SLACK_LOG2 = 1e-11
 
 
@@ -119,7 +118,7 @@ def build_eta(
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     ln2 = math.log(2.0)
-    floors_log2 = np.empty(k_max)
+    floors_log2 = []
     for k in range(1, k_max + 2):
         b = bk(k)
         if b.sign <= 0 or b.log2mag <= 0.0:
@@ -132,11 +131,11 @@ def build_eta(
         if k >= 2:
             # log2 of (1 - 1/b_k)^(-1), stable for huge b_k
             one_minus = -math.expm1(-b.log2mag * ln2)
-            floors_log2[k - 2] = -math.log(one_minus) / ln2
+            floors_log2.append(-math.log(one_minus) / ln2)
     # floors[j] binds eta_{j+1}; suffix maximum makes the rule monotone even
     # if the computed b_k wobble
-    suffix = np.maximum.accumulate(floors_log2[::-1])[::-1]
-    tail_floor_log2 = float(floors_log2[-1])
+    suffix = list(accumulate(reversed(floors_log2), max))[::-1]
+    tail_floor_log2 = floors_log2[-1]
     if tail_floor_log2 > math.log2(1.0 + tail_gap):
         floor_value = 2.0 ** tail_floor_log2
         raise EtaInfeasibleError(
@@ -147,10 +146,9 @@ def build_eta(
             f"end of the validated range (k_max = {k_max}); the scanned b_k are "
             "bounded, so no sequence decreasing to 1 satisfies it",
         )
-    suffix_list = suffix.tolist()
 
     def log2_fn(k: int) -> float:
-        g = suffix_list[k - 1] if k <= k_max else tail_floor_log2
+        g = suffix[k - 1] if k <= k_max else tail_floor_log2
         return g + math.log1p(2.0 ** (-k)) / ln2
 
     return EtaSequence(log2_fn, f"suffix-max floors, k_max={k_max}", validated=True)
@@ -246,27 +244,20 @@ def build_renorm_scheme(
 
 
 def _triple_norm_log2(
-    M: DyadicOrliczFunction,
-    eta: EtaSequence,
-    sorted_log2: np.ndarray,
-    tol: Tolerance,
+    M: DyadicOrliczFunction, eta: EtaSequence, sorted_log2: list[float]
 ) -> tuple[float, int]:
     n = len(sorted_log2)
     if n == 0:
         return -math.inf, 0
     eta.ensure_valid(n + 1)
-    head_norms = _head_norms_log2(M, sorted_log2, tol)
-    vals = np.array([eta.log2(k) for k in range(1, n + 1)]) + head_norms
-    best = float(vals.max())
-    attaining = int(np.argmax(vals >= best - _TIE_SLACK_LOG2)) + 1
+    vals = [eta.log2(k) + h for k, h in enumerate(_prefix_norms_log2(M, sorted_log2), start=1)]
+    best = max(vals)
+    attaining = next(k for k, v in enumerate(vals, start=1) if v >= best - _TIE_SLACK_LOG2)
     return best, attaining
 
 
 def triple_norm(
-    M: DyadicOrliczFunction,
-    eta: EtaSequence,
-    x: FiniteVector,
-    tol: Tolerance = DEFAULT_NORM_TOL,
+    M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector
 ) -> tuple[LogReal, int]:
     """max over 1 <= k <= N of eta_k * ||(x*_1..x*_k)||, with the smallest
     maximizing k.
@@ -276,27 +267,19 @@ def triple_norm(
     """
     if x.is_zero:
         return ZERO, 0
-    best, attaining = _triple_norm_log2(M, eta, x.sorted_log2_magnitudes(), tol)
+    best, attaining = _triple_norm_log2(M, eta, x.sorted_log2_magnitudes())
     return LogReal.from_log2(best), attaining
 
 
-def head_attainment_index(
-    M: DyadicOrliczFunction,
-    eta: EtaSequence,
-    x: FiniteVector,
-    tol: Tolerance = DEFAULT_NORM_TOL,
-) -> int:
+def head_attainment_index(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector) -> int:
     """Smallest m >= 0 whose basis-order truncation already has the full
     renormed value; 0 for the zero vector."""
-    m, _ = _head_attainment_search(M, eta, x, tol)
+    m, _ = _head_attainment_search(M, eta, x)
     return m
 
 
 def _head_attainment_search(
-    M: DyadicOrliczFunction,
-    eta: EtaSequence,
-    x: FiniteVector,
-    tol: Tolerance = DEFAULT_NORM_TOL,
+    M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector
 ) -> tuple[int, list[tuple[int, float]]]:
     """Attainment index plus the (m, value) pairs probed on the way.
 
@@ -306,14 +289,14 @@ def _head_attainment_search(
     """
     if x.is_zero:
         return 0, []
-    target, _ = _triple_norm_log2(M, eta, x.sorted_log2_magnitudes(), tol)
+    target, _ = _triple_norm_log2(M, eta, x.sorted_log2_magnitudes())
     slack = _TIE_SLACK_LOG2 + abs(target) * 1e-12
     support = sorted(x.coords)
     probes: list[tuple[int, float]] = []
 
     def value_at(pos: int) -> float:
         head = x.head(support[pos])
-        v, _ = _triple_norm_log2(M, eta, head.sorted_log2_magnitudes(), tol)
+        v, _ = _triple_norm_log2(M, eta, head.sorted_log2_magnitudes())
         probes.append((support[pos], v))
         return v
 
@@ -329,12 +312,7 @@ def _head_attainment_search(
     return support[hi], probes
 
 
-def growth_index(
-    M: DyadicOrliczFunction,
-    eta: EtaSequence,
-    x: FiniteVector,
-    tol: Tolerance = DEFAULT_NORM_TOL,
-) -> int:
+def growth_index(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector) -> int:
     """Smallest k with ||x|| <= eta_k * ||(a_1..a_k)|| for positive
     nonincreasing packed coordinates; k = N always qualifies."""
     if x.is_zero:
@@ -351,11 +329,10 @@ def growth_index(
             raise ValueError(f"coordinates must be nonincreasing, violated at index {i}")
         prev = v.log2mag
     eta.ensure_valid(n + 1)
-    logs = x.sorted_log2_magnitudes()
-    head_norms = _head_norms_log2(M, logs, tol)
-    full = float(head_norms[-1])
+    head_norms = _prefix_norms_log2(M, x.sorted_log2_magnitudes())
+    full = head_norms[-1]
     for k in range(1, n + 1):
-        if eta.log2(k) + float(head_norms[k - 1]) >= full - _TIE_SLACK_LOG2:
+        if eta.log2(k) + head_norms[k - 1] >= full - _TIE_SLACK_LOG2:
             return k
     raise AssertionError("growth index must exist at k = N")
 

@@ -2,12 +2,16 @@
 
 Vectors live against the unit-vector basis with 1-based indices; only nonzero
 coordinates are stored.  The norm of x is the unique rho > 0 at which the
-modular sum M(|a_i| / rho) equals 1, located by bisection on log2(rho); the
-modular is strictly decreasing and continuous in rho, so the standard bracket
+modular sum M(|a_i| / rho) equals 1.
 
-    [ max|a_i| / M^(-1)(1),  N max|a_i| / M^(-1)(1/N) ]
-
-always changes sign.
+On its dyadic segment n, M is the line b(n) t + c(n) with c(n) <= 0.  Write
+s = 1/rho; with each |a_i| s on segment n_i the modular is C + s B, where
+C = sum c(n_i) and B = sum b(n_i) |a_i|, and a Newton step is
+s <- (1 - C) / B.  Every segment line lies below the convex M, so a step from
+anywhere lands at or right of the root, the steps from there decrease, and
+they end on the root once the segments stop moving.  The solver works on
+Python floats relative to the largest coordinate, so magnitudes far outside
+the double range are fine.
 """
 
 from __future__ import annotations
@@ -15,18 +19,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping
 
-import numpy as np
-
-from .logreal import LogReal, Tolerance, ZERO, log_sum
+from .logreal import LogReal, ZERO, log_sum
 from .orlicz import DyadicOrliczFunction
-
-_LN2 = math.log(2.0)
-
-DEFAULT_NORM_TOL = Tolerance(rel=1e-13)
-
-# padding applied to bracket endpoints so that M(M^(-1)(1)) round-off cannot
-# break the sign-change invariant
-_BRACKET_PAD = 1e-11
 
 
 class FiniteVector:
@@ -43,9 +37,7 @@ class FiniteVector:
             if val.sign != 0:
                 stored[int(idx)] = val
         self._coords = dict(sorted(stored.items()))
-        self._sorted_log2 = np.sort(
-            np.array([v.log2mag for v in self._coords.values()], dtype=np.float64)
-        )[::-1]
+        self._sorted_log2 = sorted((v.log2mag for v in self._coords.values()), reverse=True)
         self._max_index = max(self._coords) if self._coords else 0
 
     @staticmethod
@@ -80,9 +72,9 @@ class FiniteVector:
     def is_zero(self) -> bool:
         return not self._coords
 
-    def sorted_log2_magnitudes(self) -> np.ndarray:
+    def sorted_log2_magnitudes(self) -> list[float]:
         """log2 of the nonzero magnitudes, nonincreasing."""
-        return self._sorted_log2.copy()
+        return list(self._sorted_log2)
 
     def get(self, index: int) -> LogReal:
         return self._coords.get(index, ZERO)
@@ -131,75 +123,76 @@ def modular(M: DyadicOrliczFunction, x: FiniteVector, rho: LogReal) -> LogReal:
     return log_sum(M.eval(abs(v) / rho) for v in x.coords.values())
 
 
-def luxemburg_norm(
-    M: DyadicOrliczFunction, x: FiniteVector, tol: Tolerance = DEFAULT_NORM_TOL
-) -> LogReal:
-    """The norm inf{rho > 0 : modular(x, rho) <= 1}; zero for the zero vector.
-
-    The displayed infimum is the root of the strictly decreasing map
-    rho -> modular(x, rho) = 1, found by bisection until the bracket's
-    relative width drops below tol.rel.
-    """
+def luxemburg_norm(M: DyadicOrliczFunction, x: FiniteVector) -> LogReal:
+    """The norm inf{rho > 0 : modular(x, rho) <= 1}; zero for the zero vector."""
     if x.is_zero:
         return ZERO
-    logmags = x.sorted_log2_magnitudes()
-    out = _head_norms_log2(M, logmags, tol, heads=np.array([len(logmags) - 1]))
-    return LogReal.from_log2(float(out[0]))
+    return LogReal.from_log2(_norm_log2(M, x.sorted_log2_magnitudes()))
 
 
-def _head_norms_log2(
-    M: DyadicOrliczFunction,
-    sorted_log2: np.ndarray,
-    tol: Tolerance = DEFAULT_NORM_TOL,
-    heads: np.ndarray | None = None,
-) -> np.ndarray:
-    """log2 Luxemburg norms of prefixes of a sorted-descending magnitude array.
+def _norm_log2(M: DyadicOrliczFunction, sorted_log2: list[float]) -> float:
+    """log2 Luxemburg norm of a nonempty nonincreasing magnitude list.
 
-    heads holds 0-based prefix end indices (default: all prefixes).  All
-    bisections run in lockstep on shared numpy state, which is what keeps
-    rearranged-head norm computations affordable.
+    Cold start at s = M^(-1)(1) / |a_1|, where the top coordinate alone
+    already brings the modular to 1.
     """
-    n_total = len(sorted_log2)
-    if n_total == 0:
-        return np.empty(0)
-    if heads is None:
-        heads = np.arange(n_total)
-    logmax = float(sorted_log2[0])
-    minv1 = M.inverse_log2(0.0)
-    sizes = heads + 1.0
-    minv_k = np.array([M.inverse_log2(-math.log2(k)) for k in sizes])
-    lo0 = logmax - minv1
-    hi0 = np.log2(sizes) + logmax - minv_k
-    # the exponent grid cannot resolve below one ulp at the bracket's own
-    # magnitude; both the endpoint padding and the width target scale with it
-    scale = max(1.0, abs(lo0), float(np.max(np.abs(hi0))))
-    pad = max(_BRACKET_PAD, scale * 2.0 ** -46)
-    lo = np.full(len(heads), lo0 - pad)
-    hi = hi0 + pad
-    target = max(math.log1p(tol.rel) / _LN2, scale * 2.0 ** -50)
-    tri = np.arange(n_total)[None, :] <= heads[:, None]
-    sanity = _modular_rows(M, sorted_log2, tri, lo)
-    if not np.all(sanity >= 1.0):
-        raise AssertionError("luxemburg bracket failed on the low side")
-    sanity = _modular_rows(M, sorted_log2, tri, hi)
-    if not np.all(sanity <= 1.0):
-        raise AssertionError("luxemburg bracket failed on the high side")
-    while float(np.max(hi - lo)) > target:
-        mid = 0.5 * (lo + hi)
-        mods = _modular_rows(M, sorted_log2, tri, mid)
-        above = mods > 1.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
+    top = sorted_log2[0]
+    return top - _root_log2(M, [v - top for v in sorted_log2], M.inverse_log2(0.0))
 
 
-def _modular_rows(
-    M: DyadicOrliczFunction,
-    sorted_log2: np.ndarray,
-    tri: np.ndarray,
-    logrho: np.ndarray,
-) -> np.ndarray:
-    u = sorted_log2[None, :] - logrho[:, None]
-    u = np.where(tri, u, -np.inf)
-    lm = M.eval_log2_array(u)
-    return np.exp2(lm).sum(axis=1)
+def _prefix_norms_log2(M: DyadicOrliczFunction, sorted_log2: list[float]) -> list[float]:
+    """log2 Luxemburg norms of every prefix of a nonincreasing magnitude list.
+
+    Adding a coordinate raises the modular, so the root of prefix k - 1 is a
+    valid start for prefix k.
+    """
+    if not sorted_log2:
+        return []
+    top = sorted_log2[0]
+    rel = [v - top for v in sorted_log2]
+    s_log2 = M.inverse_log2(0.0)
+    out = []
+    for k in range(1, len(rel) + 1):
+        s_log2 = _root_log2(M, rel[:k], s_log2)
+        out.append(top - s_log2)
+    return out
+
+
+def _root_log2(M: DyadicOrliczFunction, rel: list[float], s_log2: float) -> float:
+    """log2 of the s > 0 with sum_i M(s 2^rel[i]) = 1, where 0 = rel[0] >= rel[1] >= ...
+
+    Newton steps from s_log2; the first step is always taken, so a start a few
+    ulps left of the root (a rounded M^(-1)(1)) still lands on the right.
+    """
+    nxt = _newton_step_log2(M, rel, s_log2)
+    while True:
+        s_log2, nxt = nxt, _newton_step_log2(M, rel, nxt)
+        if not nxt < s_log2:
+            return s_log2
+
+
+def _newton_step_log2(M: DyadicOrliczFunction, rel: list[float], s_log2: float) -> float:
+    """log2 (1 - C) / B for the segments n_i holding the points s 2^rel[i].
+
+    There the modular is C + s B with C = sum c(n_i) <= 0 and
+    B = sum b(n_i) 2^rel[i].  The first coordinate has the largest b(n_i) and
+    the largest b(n_i) 2^(-n_i - 1); dividing the B-terms and the C-terms by
+    these keeps every term at most 1, so no sum overflows however steep M is.
+    """
+    logb, logM = M.segment_tables(max(0, math.floor(-s_log2 - rel[-1])) + 1)
+    n1 = max(0, math.floor(-s_log2))
+    top = logb[n1]
+    scale = max(0.0, top - n1 - 1)
+    neg_c = []
+    b_terms = []
+    for r in rel:
+        n = math.floor(-s_log2 - r)
+        if n < 0:
+            n = 0
+        lb = logb[n]
+        # -c(n) = b(n) 2^(-n-1) - M(2^(-n-1)) >= 0: the segment line meets
+        # t = 0 below M(0) = 0
+        neg_c.append(2.0 ** (lb - n - 1 - scale) - 2.0 ** (logM[n + 1] - scale))
+        b_terms.append(2.0 ** (lb - top + r))
+    return (scale + math.log2(2.0 ** -scale + math.fsum(neg_c))
+            - math.log2(math.fsum(b_terms)) - top)

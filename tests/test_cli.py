@@ -1,6 +1,10 @@
 """Command-line front door: dispatch, exit codes, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,3 +209,13 @@ class TestEmitReport:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             emit_report(Report(name="x"), "csv", tmp_path / "no" / "dir" / "f.csv")
+
+
+def test_library_and_cli_load_no_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    code = "import sys, orliczlab, orliczlab.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

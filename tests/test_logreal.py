@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orliczlab import LogReal, Tolerance, ZERO, log_add, log_cmp, log_sum
@@ -141,16 +141,18 @@ class TestCmp:
         assert log_cmp(LogReal(-1, 3.0), LogReal(-1, 2.0), self.tol) == -1
 
     @given(a=finite_vals, b=finite_vals)
+    @example(a=-999999999999998.0, b=-999999999999997.0)
     @settings(max_examples=300, deadline=None)
     def test_order_matches_reals(self, a, b):
+        # conversion is exact only to a few ulps of the exponent, so reals one
+        # ulp apart can share a stored exponent (math.log2 maps both pinned
+        # magnitudes to 49.82892142331043): such pairs may tie, never invert
         la, lb = LogReal.from_float(a), LogReal.from_float(b)
         got = log_cmp(la, lb, Tolerance(rel=1e-300, abs_log2=0.0))
-        if a < b:
-            assert got == -1
-        elif a > b:
-            assert got == 1
-        else:
-            assert got == 0
+        want = (a > b) - (a < b)
+        assert got in (0, want)
+        if (la.sign, la.log2mag) != (lb.sign, lb.log2mag):
+            assert got == want
 
 
 class TestConversionRendering:

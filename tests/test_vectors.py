@@ -1,6 +1,7 @@
 """Finitely supported vectors, the modular and the Luxemburg norm."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,8 +15,10 @@ from orliczlab import (
     make_dyadic_plf,
     modular,
     rearrange,
+    slopes_from_list,
     squares_slopes,
 )
+from orliczlab.vectors import _prefix_norms_log2
 
 
 @pytest.fixture(scope="module")
@@ -189,8 +192,8 @@ class TestLuxemburgNorm:
         assert modular(squares, x, nrm).to_float() == pytest.approx(1.0, rel=1e-9)
 
     def test_very_deep_scales_resolution_floor(self, geom):
-        # at exponents ~1e5 the bracket padding and width target must ride
-        # above the float ulp; the root is good to the grid's resolution
+        # at exponents ~1e5 the float ulp of log2 rho is about 1.5e-11; the
+        # root is good to that resolution
         x = FiniteVector({1: LogReal.two_pow(-100_000), 2: LogReal.two_pow(-100_003)})
         nrm = luxemburg_norm(geom, x)
         # exponent-shift invariance: the same shape at scale 1 solves the
@@ -234,3 +237,75 @@ class TestLuxemburgNorm:
             with mp.workdps(60):
                 want = mp.findroot(modular_mp, mp.mpf(got))
             assert got == pytest.approx(float(want), rel=1e-11)
+
+
+def exact_newton_norm(exps, coords):
+    """Exact Luxemburg norm for slopes b(n) = 2^-exps[min(n, L - 1)].
+
+    Runs the same Newton iteration as the library on Fractions, from the
+    right: on segment n, M(t) = M(2^(-n-1)) + b(n) (t - 2^(-n-1)), and the
+    breakpoint values are finite sums plus the constant-tail term.
+    """
+    L = len(exps)
+
+    def b(n):
+        return Fraction(1, 2 ** exps[min(n, L - 1)])
+
+    def m_left(n):
+        # M(2^(-n-1)) = sum_{j > n} b(j) 2^(-j-1)
+        m = n + 1
+        return sum((b(j) / 2 ** (j + 1) for j in range(m, L - 1)), Fraction(0)) + b(
+            L - 1
+        ) / 2 ** max(m, L - 1)
+
+    def segment(t):
+        n = 0
+        while t < Fraction(1, 2 ** (n + 1)):
+            n += 1
+        return n
+
+    a = [abs(c) for c in coords]
+    # the ray through M(1/2) with slope b(0) reaches 1 at t = (1 - c(0)) / b(0)
+    s = (1 - m_left(0) + b(0) / 2) / (b(0) * max(a))
+    while True:
+        C = B = Fraction(0)
+        for ai in a:
+            n = segment(ai * s)
+            C += m_left(n) - b(n) / 2 ** (n + 1)
+            B += b(n) * ai
+        nxt = (1 - C) / B
+        assert nxt <= s
+        if nxt == s:
+            return 1 / s
+        s = nxt
+
+
+def dyadic_case(rng):
+    exps = [0]
+    for _ in range(rng.randint(1, 10)):
+        exps.append(exps[-1] + rng.randint(0, 4))
+    coords = [
+        rng.choice((-1, 1)) * Fraction(rng.randint(1, 2 ** 20), 2 ** rng.randint(0, 40))
+        for _ in range(rng.randint(1, 25))
+    ]
+    M = make_dyadic_plf(slopes_from_list([LogReal.two_pow(-e) for e in exps]))
+    return exps, coords, M, FiniteVector.from_floats([float(c) for c in coords])
+
+
+class TestNewtonExactness:
+    def test_matches_exact_rational_newton(self):
+        rng = random.Random(2024)
+        for _ in range(50):
+            exps, coords, M, x = dyadic_case(rng)
+            want = float(exact_newton_norm(exps, coords))
+            assert luxemburg_norm(M, x).to_float() == pytest.approx(want, rel=1e-14, abs=0)
+
+    def test_warm_prefix_walk_matches_cold_solves(self):
+        rng = random.Random(77)
+        for _ in range(50):
+            _, _, M, x = dyadic_case(rng)
+            packed = rearrange(x)
+            walk = _prefix_norms_log2(M, x.sorted_log2_magnitudes())
+            for k, got in enumerate(walk, start=1):
+                cold = luxemburg_norm(M, packed.head(k)).to_float()
+                assert 2.0 ** got == pytest.approx(cold, rel=1e-14, abs=0)
