@@ -4,13 +4,20 @@ A report is a list of rows, one per verified inequality or computed value,
 plus a free-form summary.  Rows carry both sides of the check in log2 form and
 the margin, so every failure comes with its witness.  Emission is
 deterministic: fixed column order, repr-formatted floats, '\n' newlines.
+
+The JSON rendering is byte for byte `json.dumps(payload, indent=2,
+sort_keys=True) + "\n"` of {"name", "rows": [one record per row], "summary"},
+but writes each row straight from its fields; tests/test_reports.py pins it
+against that generic route.  A CSV cell is quoted when it holds ',', '"',
+'\n' or '\r', with '"' doubled, so every row stays one record.
 """
 
 from __future__ import annotations
 
-import io
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 CSV_COLUMNS = [
@@ -66,29 +73,31 @@ class Report:
         return not self.failures
 
 
-def _cell(value: object) -> str:
+def _csv_cell(value: object) -> str:
+    if type(value) is float:
+        return repr(value)  # digits, sign, '.', 'e', 'inf' or 'nan': never quoted
     if value is None:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    text = repr(value) if isinstance(value, float) else str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+_CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 def render_csv(report: Report) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(CSV_COLUMNS) + "\n")
+    lines = [_CSV_HEADER]
     for row in report.rows:
-        rec = row.as_record()
-        cells = []
-        for col in CSV_COLUMNS:
-            text = _cell(rec[col])
-            if "," in text or '"' in text:
-                text = '"' + text.replace('"', '""') + '"'
-            cells.append(text)
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+        idx = (*row.indices, None, None, None)
+        cells = (row.check, idx[0], idx[1], idx[2], row.lhs_log2, row.rhs_log2,
+                 row.margin_log2, row.passed, row.note)
+        lines.append(",".join([_csv_cell(v) for v in cells]))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _jsonable(value: object) -> object:
@@ -101,13 +110,57 @@ def _jsonable(value: object) -> object:
     return value
 
 
+def _json_value(value: object, depth: int) -> str:
+    """`value` as json.dumps(indent=2, sort_keys=True) lays it out at nesting `depth`."""
+    text = json.dumps(_jsonable(value), indent=2, sort_keys=True)
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _json_cell(value: object) -> str:
+    """One row cell, spelled as json.dumps spells it inside a row object."""
+    kind = type(value)
+    if kind is float:
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    return _json_value(value, 3)  # LogReal and other rendered values, containers
+
+
+# rows sit at nesting depth 2 of the payload, their fields (sorted) at depth 3
+_JSON_ROW = (
+    '    {\n      "check": %s,\n      "idx1": %s,\n      "idx2": %s,\n      "idx3": %s,\n'
+    '      "lhs_log2": %s,\n      "margin_log2": %s,\n      "note": %s,\n'
+    '      "passed": %s,\n      "rhs_log2": %s\n    }'
+)
+
+
+def _json_row(row: CheckRow) -> str:
+    idx = (*row.indices, None, None, None)
+    cells = (row.check, idx[0], idx[1], idx[2], row.lhs_log2, row.margin_log2,
+             row.note, row.passed, row.rhs_log2)
+    return _JSON_ROW % tuple([_json_cell(v) for v in cells])
+
+
 def render_json(report: Report) -> str:
-    payload = {
-        "name": report.name,
-        "summary": _jsonable(report.summary),
-        "rows": [_jsonable(r.as_record()) for r in report.rows],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """json.dumps(payload, indent=2, sort_keys=True) + "\n", one row at a time."""
+    rows = ",\n".join([_json_row(row) for row in report.rows])
+    return (
+        '{\n  "name": ' + _json_value(report.name, 1)
+        + ',\n  "rows": [' + ("\n" + rows + "\n  " if rows else "")
+        + '],\n  "summary": ' + _json_value(report.summary, 1) + "\n}\n"
+    )
 
 
 def render_text(report: Report) -> str:

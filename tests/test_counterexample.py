@@ -1,6 +1,7 @@
 """Slow-ratio slope construction, claim checks, greedy trace and probe."""
 
 import math
+from dataclasses import astuple
 
 import pytest
 
@@ -22,11 +23,13 @@ from orliczlab import (
     verify_claims,
 )
 from orliczlab.counterexample import (
+    DEFAULT_SLACK_LOG2,
     attainment_failure_probe,
     default_probe_t,
     row_of_index,
     triangular,
 )
+from orliczlab.reports import CheckRow
 
 _LOG2E = 1.0 / math.log(2.0)
 
@@ -185,6 +188,93 @@ class TestClaims:
     def test_jmax_validation(self, seqs):
         with pytest.raises(ValueError):
             verify_claims(seqs, 2, [2])
+
+
+def _claims_per_call(seqs, j_max, K_list, slack_log2):
+    """verify_claims with a seqs.log2_b / seqs.log2_alpha call per term."""
+    rows = []
+    summary = {}
+    for i in range(j_max):
+        lhs = seqs.log2_b(i + 1)
+        rhs = seqs.log2_b(i)
+        rows.append(CheckRow("claim1-monotone", (i,), lhs, rhs, rhs - lhs, lhs <= rhs + slack_log2))
+    for n in range(2, j_max + 1):
+        for m in range(0, j_max - n + 1):
+            lhs = seqs.log2_b(m + n)
+            rhs = seqs.log2_alpha(m) + seqs.log2_b(n)
+            rows.append(
+                CheckRow("claim2-alpha-shift", (m, n), lhs, rhs, rhs - lhs, lhs <= rhs + slack_log2)
+            )
+    for K in K_list:
+        logK = math.log2(K)
+        sup = -math.inf
+        arg = (0, 0)
+        for n in range(1, j_max):
+            for m in range(0, j_max - n + 1):
+                v = seqs.log2_b(m + n) - seqs.log2_b(n) + m * logK
+                if v > sup:
+                    sup = v
+                    arg = (m, n)
+        summary[f"claim3-sup-log2-K{K}"] = sup
+        summary[f"claim3-arg-K{K}"] = arg
+        u = []
+        i = 1
+        while triangular(i) + i + 1 <= j_max:
+            si = triangular(i)
+            u.append(max(seqs.log2_b(si + k) + (si + k) * logK for k in range(1, i + 2)))
+            i += 1
+        peak = max(range(len(u)), key=lambda idx: u[idx])
+        falls = all(u[idx + 1] < u[idx] + slack_log2 for idx in range(peak, len(u) - 1))
+        ok = peak < len(u) - 1 and falls and u[-1] < u[peak]
+        rows.append(
+            CheckRow("claim3-row-decay", (K, peak + 1), u[-1], u[peak], u[peak] - u[-1], ok,
+                     f"rows scanned: {len(u)}")
+        )
+        a_vals = [seqs.log2_alpha(mm) + mm * logK for mm in range(0, j_max)]
+        a_peak = max(range(len(a_vals)), key=lambda idx: a_vals[idx])
+        a_ok = a_peak < len(a_vals) - 1 and all(
+            a_vals[idx + 1] <= a_vals[idx] + slack_log2 for idx in range(a_peak, len(a_vals) - 1)
+        )
+        rows.append(
+            CheckRow("claim3-alpha-bounded", (K, a_peak), a_vals[-1], a_vals[a_peak],
+                     a_vals[a_peak] - a_vals[-1], a_ok)
+        )
+    failures = [r for r in rows if not r.passed]
+    summary["checks"] = len(rows)
+    summary["failures"] = len(failures)
+    if failures:
+        w = failures[0]
+        summary["first-witness"] = f"{w.check} at {w.indices}: lhs={w.lhs_log2} rhs={w.rhs_log2}"
+    return rows, summary
+
+
+class TestClaimsTabulated:
+    """verify_claims reads tables; it must match a call per term exactly."""
+
+    @pytest.mark.parametrize("depth", [20, 45, 90])
+    @pytest.mark.parametrize("j_max", [3, 40, 80])
+    @pytest.mark.parametrize("K_list", [[2, 4, 8, 16], [3, 5]])
+    def test_matches_per_call_scan(self, depth, j_max, K_list):
+        self._assert_same(gen_sequences(depth), j_max, K_list)
+
+    @pytest.mark.parametrize("j_max", [3, 40])
+    def test_matches_per_call_scan_on_failing_rows(self, j_max):
+        bad = CounterexampleSequences(30, c_factor=2.0, validate=False)
+        rows, summary = self._assert_same(bad, j_max, [2, 3])
+        assert summary["failures"] > 0 and "first-witness" in summary
+        assert any(r.passed for r in rows) and any(not r.passed for r in rows)
+
+    @staticmethod
+    def _assert_same(seqs, j_max, K_list):
+        rep = verify_claims(seqs, j_max, K_list)
+        rows, summary = _claims_per_call(seqs, j_max, K_list, DEFAULT_SLACK_LOG2)
+        assert rep.rows == rows
+        assert rep.summary == summary
+        assert list(rep.summary) == list(summary)
+        # repr catches what == forgives (a zero of the other sign)
+        assert [repr(astuple(r)) for r in rep.rows] == [repr(astuple(r)) for r in rows]
+        assert repr(rep.summary) == repr(summary)
+        return rows, summary
 
 
 class TestRatioBound:
