@@ -239,18 +239,9 @@ ZERO = _ZERO
 ONE = _ONE
 
 
-def log_add(a: LogReal, b: LogReal) -> LogReal:
-    """Sum of two log-domain values; commutative, exact when one is zero."""
-    return a + b
-
-
 def log_sum(values: Iterable[LogReal]) -> LogReal:
     total = _ZERO
     for v in values:
         total = total + v
     return total
 
-
-def log_cmp(a: LogReal, b: LogReal, tol: Tolerance) -> int:
-    """Total order on reconstructed values: -1, 0 (within slack) or +1."""
-    return a.cmp(b, tol)

@@ -272,13 +272,16 @@ TREND_INCREASING = "increasing"
 TREND_BOUNDED = "bounded"
 TREND_INCONCLUSIVE = "inconclusive"
 
+# log2 slack within which a scanned tail counts as flat, or as not falling
+_TREND_BAND = 1e-9
 
-def classify_tail(values_log2: Sequence[float], band: float = 1e-9) -> str:
+
+def classify_tail(values_log2: Sequence[float]) -> str:
     """Describe the tail of a scanned series (ordered toward t -> 0).
 
     'increasing' if the tail window rises monotonically, 'bounded' if it is
-    flat within the band, 'inconclusive' otherwise or when the running minimum
-    was still improving inside the tail window.
+    flat within _TREND_BAND, 'inconclusive' otherwise or when the running
+    minimum was still improving inside the tail window.
     """
     vals = list(values_log2)
     if len(vals) < 3:
@@ -288,16 +291,16 @@ def classify_tail(values_log2: Sequence[float], band: float = 1e-9) -> str:
     running = vals[0]
     last_improve = 0
     for i, v in enumerate(vals):
-        if v < running - band:
+        if v < running - _TREND_BAND:
             running = v
             last_improve = i
     if last_improve >= len(vals) - window:
         return TREND_INCONCLUSIVE
     tail = vals[-window:]
-    monotone_up = all(tail[i + 1] >= tail[i] - band for i in range(len(tail) - 1))
-    if monotone_up and tail[-1] > tail[0] + band:
+    monotone_up = all(tail[i + 1] >= tail[i] - _TREND_BAND for i in range(len(tail) - 1))
+    if monotone_up and tail[-1] > tail[0] + _TREND_BAND:
         return TREND_INCREASING
-    if max(tail) - min(tail) <= band:
+    if max(tail) - min(tail) <= _TREND_BAND:
         return TREND_BOUNDED
     return TREND_INCONCLUSIVE
 
@@ -313,7 +316,6 @@ class RatioReport:
     arg_inf: tuple[float, ...]
     arg_sup: tuple[float, ...]
     trend: str
-    approximate: bool = False
     aux: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -322,98 +324,90 @@ class RatioReport:
                 raise AssertionError("scanned value outside [infimum, supremum]")
 
 
-def _report_from_scan(grid, logs, trend, approximate=False, aux=None) -> RatioReport:
-    i_min = min(range(len(logs)), key=lambda i: logs[i])
-    i_max = max(range(len(logs)), key=lambda i: logs[i])
+def _report_from_scan(grid, logs, trend, aux=None) -> RatioReport:
+    i_min = logs.index(min(logs))
+    i_max = logs.index(max(logs))
+    values = [LogReal(1, v) for v in logs]
     return RatioReport(
         grid=list(grid),
-        values=[LogReal.from_log2(v) for v in logs],
-        infimum=LogReal.from_log2(logs[i_min]),
-        supremum=LogReal.from_log2(logs[i_max]),
+        values=values,
+        infimum=values[i_min],
+        supremum=values[i_max],
         arg_inf=grid[i_min],
         arg_sup=grid[i_max],
         trend=trend,
-        approximate=approximate,
         aux=aux or {},
     )
 
 
-def ratio_inf(
-    M: DyadicOrliczFunction,
-    m: int,
-    t_max: LogReal,
-    depth: int = 64,
-    band: float = 1e-9,
-) -> RatioReport:
-    """Scan inf of M(2^m t) / M(t) over (0, t_max].
+def _ratio_scan(M: DyadicOrliczFunction, logK: float, t_max: LogReal, depth: int) -> RatioReport:
+    """The scan behind ratio_inf and ratio_inf_general, with K = 2^logK.
 
-    With K = 2^m the numerator and denominator are simultaneously linear on
-    every dyadic interval, so the ratio is monotone there and the infimum over
-    the scanned range is attained at the interval endpoints: the breakpoints
-    2^(-n) <= t_max plus t_max itself.  The tail below the scan depth is
-    reported as a trend, never extrapolated.
+    n0 is the smallest n >= 0 with 2^(-n) <= t_max; the window is
+    [2^(-n0-depth), t_max] and the trend is classify_tail over the values at
+    t = 2^(-n), n = n0 .. n0 + depth.
     """
-    if m < 1 or m != int(m):
-        raise ValueError(f"scaling exponent m must be a positive integer, got {m}")
+    if depth < 0:
+        raise ValueError(f"scan depth must be >= 0, got {depth}")
     if t_max.sign <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
-    u_top = t_max.log2mag
-    n0 = int(math.ceil(-u_top))
-    n0 = max(n0, 0)
-    grid: list[tuple[float, ...]] = []
-    logs: list[float] = []
-    if -float(n0) < u_top:
-        # t_max sits strictly inside a dyadic interval
-        grid.append((u_top,))
-        logs.append(M.eval_log2(u_top + m) - M.eval_log2(u_top))
-    M._ensure_depth(n0 + depth + 1)
-    bp_logs = []
-    for n in range(n0, n0 + depth + 1):
-        num = M._logM[n - m] if n >= m else M.eval_log2(float(m - n))
-        r = num - M._logM[n]
-        grid.append((-float(n),))
-        logs.append(r)
-        bp_logs.append(r)
-    trend = classify_tail(bp_logs, band=band)
-    return _report_from_scan(grid, logs, trend)
-
-
-def ratio_inf_general(
-    M: DyadicOrliczFunction,
-    K: float,
-    t_max: LogReal,
-    depth: int = 64,
-    samples_per_interval: int = 8,
-    band: float = 1e-9,
-) -> RatioReport:
-    """Sampling fallback for a scaling factor that is not a power of two.
-
-    The breakpoints of t -> M(Kt) no longer align with those of M, so the
-    per-interval monotonicity argument fails; the scan samples geometrically
-    inside each dyadic interval and the result is flagged approximate.
-    """
-    if K <= 1.0:
-        raise ValueError(f"scaling factor must exceed 1, got {K}")
-    if t_max.sign <= 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
-    logK = math.log2(K)
     u_top = t_max.log2mag
     n0 = max(int(math.ceil(-u_top)), 0)
-    grid: list[tuple[float, ...]] = []
-    logs: list[float] = []
-    per_bp: list[float] = []
-    for n in range(n0, n0 + depth + 1):
-        for i in range(samples_per_interval):
-            u = -float(n) - i / samples_per_interval
-            if u > u_top:
-                continue
-            r = M.eval_log2(u + logK) - M.eval_log2(u)
-            grid.append((u,))
-            logs.append(r)
-            if i == 0:
-                per_bp.append(r)
-    trend = classify_tail(per_bp, band=band)
-    return _report_from_scan(grid, logs, trend, approximate=True)
+    n_end = n0 + depth
+    ratio: dict[float, float] = {}  # log2 t -> log2 M(Kt) / M(t)
+    if -float(n0) < u_top:
+        # t_max is not a breakpoint.  Each table extension sums its own tail,
+        # so breakpoint values can move in the last bit with the extension
+        # steps; evaluating t_max before growing the tables to n_end fixes them.
+        ratio[u_top] = M.eval_log2(u_top + logK) - M.eval_log2(u_top)
+    M._ensure_depth(n_end + 1)
+    logM = M._logM
+    # at K = 2^m the breakpoints of M(Kt) are M's own and M(Kt) reads the table
+    m = int(logK) if logK.is_integer() else None
+    # t = 2^(-n), the breakpoints of M(t)
+    at_breakpoints = []
+    for n in range(n0, n_end + 1):
+        num = logM[n - m] if m is not None and n >= m else M.eval_log2(logK - n)
+        at_breakpoints.append(num - logM[n])
+        ratio[-float(n)] = at_breakpoints[-1]
+    if m is None:
+        # t = 2^(-j) / K, the breakpoints of M(Kt)
+        for j in range(max(int(math.ceil(-u_top - logK)), 0), int(math.floor(n_end - logK)) + 1):
+            u = -j - logK
+            if -n_end <= u < u_top and u not in ratio:
+                ratio[u] = logM[j] - M.eval_log2(u)
+    grid = sorted(ratio, reverse=True)
+    return _report_from_scan([(u,) for u in grid], [ratio[u] for u in grid],
+                             classify_tail(at_breakpoints))
+
+
+def ratio_inf(M: DyadicOrliczFunction, m: int, t_max: LogReal, depth: int = 64) -> RatioReport:
+    """Exact inf of M(2^m t) / M(t) over [2^(-n0-depth), t_max].
+
+    With K = 2^m every breakpoint of M(Kt) is one of M's, so the grid is
+    t_max plus the breakpoints 2^(-n), n = n0 .. n0 + depth, where n0 is the
+    smallest n >= 0 with 2^(-n) <= t_max.  Between them M(t) and M(Kt) are
+    both linear, so the ratio is monotone and the infimum over the window is
+    a grid value.  The tail below the window is reported as a trend, never
+    extrapolated.
+    """
+    if not (math.isfinite(m) and m >= 1 and m == int(m)):
+        raise ValueError(f"scaling exponent m must be a positive integer, got {m}")
+    return _ratio_scan(M, float(m), t_max, depth)
+
+
+def ratio_inf_general(M: DyadicOrliczFunction, K: float, t_max: LogReal, depth: int = 64) -> RatioReport:
+    """Exact inf of M(Kt) / M(t) over [2^(-n0-depth), t_max], for any real K > 1.
+
+    The grid is t_max plus every t in the window where t or Kt is a
+    breakpoint 2^(-n): M's breakpoints merged with the points 2^(-n) / K.
+    Between merged neighbours M(t) and M(Kt) are both linear, so the ratio
+    is linear-fractional and monotone, and the infimum over the window is a
+    grid value.  At K = 2^m the report equals ratio_inf(M, m, ...).
+    """
+    if not (math.isfinite(K) and K > 1.0):
+        raise ValueError(f"scaling factor must be a finite real > 1, got {K}")
+    return _ratio_scan(M, math.log2(K), t_max, depth)
 
 
 def compute_cq(
@@ -421,7 +415,6 @@ def compute_cq(
     q: float,
     m_max: int,
     n_max: int,
-    band: float = 1e-9,
 ) -> RatioReport:
     """Grid supremum of M(2^(-m-n)) / M(2^(-n)) * 2^(mq).
 

@@ -43,6 +43,10 @@ class CheckRow:
     passed: bool = True
     note: str = ""
 
+    def __post_init__(self) -> None:
+        if len(self.indices) > 3:
+            raise ValueError(f"a check row has at most 3 indices, got {self.indices!r}")
+
     def as_record(self) -> dict[str, object]:
         idx = list(self.indices) + [None] * (3 - len(self.indices))
         return {

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orliczlab import LogReal, Tolerance, ZERO, log_add, log_cmp, log_sum
+from orliczlab import LogReal, Tolerance, ZERO, log_sum
 
 finite_vals = st.floats(
     min_value=-1e15, max_value=1e15, allow_nan=False, allow_infinity=False
@@ -35,25 +35,25 @@ class TestConstruction:
 class TestAdd:
     def test_additive_identity(self):
         x = LogReal.from_float(0.37)
-        assert log_add(ZERO, x) == x
-        assert log_add(x, ZERO) == x
+        assert ZERO + x == x
+        assert x + ZERO == x
 
     def test_doubling_shifts_exponent(self):
         x = LogReal.two_pow(10)
-        assert log_add(x, x).log2mag == pytest.approx(11.0, abs=0)
-        assert log_add(x, x).sign == 1
+        assert (x + x).log2mag == pytest.approx(11.0, abs=0)
+        assert (x + x).sign == 1
 
     def test_subnormal_scale_sum(self):
         # 2^-2000 + 2^-2001 = 2^-2000 * 1.5; exact identity checked by the
         # same sum at small exponents in exact rational arithmetic below
-        got = log_add(LogReal.two_pow(-2000), LogReal.two_pow(-2001))
+        got = LogReal.two_pow(-2000) + LogReal.two_pow(-2001)
         assert got.log2mag == pytest.approx(-2000 + math.log2(1.5), rel=1e-15)
 
     def test_against_exact_rationals(self):
         # same mantissa pattern at representable exponents
         for ea, eb in [(-20, -21), (-5, -9), (0, -3), (7, 7)]:
             exact = Fraction(2) ** ea + Fraction(2) ** eb
-            got = log_add(LogReal.two_pow(ea), LogReal.two_pow(eb))
+            got = LogReal.two_pow(ea) + LogReal.two_pow(eb)
             assert got.log2mag == pytest.approx(math.log2(float(exact)), rel=1e-15)
 
     def test_cancellation(self):
@@ -67,8 +67,8 @@ class TestAdd:
     def test_no_overflow_at_extreme_exponents(self):
         big = LogReal.two_pow(1_000_000)
         tiny = LogReal.two_pow(-1_000_000)
-        assert log_add(big, tiny).log2mag == 1_000_000
-        assert log_add(big, big).log2mag == 1_000_001
+        assert (big + tiny).log2mag == 1_000_000
+        assert (big + big).log2mag == 1_000_001
         assert (big - tiny).log2mag == 1_000_000
 
 
@@ -126,19 +126,19 @@ class TestCmp:
     tol = Tolerance(rel=1e-12, abs_log2=1e-12)
 
     def test_zero_below_positive(self):
-        assert log_cmp(ZERO, LogReal.two_pow(-5000), self.tol) == -1
+        assert ZERO.cmp(LogReal.two_pow(-5000), self.tol) == -1
 
     def test_sign_dominates(self):
-        assert log_cmp(LogReal(-1, 3.0), LogReal(1, 3.0), self.tol) == -1
+        assert LogReal(-1, 3.0).cmp(LogReal(1, 3.0), self.tol) == -1
 
     def test_slack_equality(self):
         a = LogReal.two_pow(-100)
         b = a * LogReal.from_float(1 + 1e-14)
-        assert log_cmp(a, b, Tolerance(rel=1.0, abs_log2=1e-12)) == 0
+        assert a.cmp(b, Tolerance(rel=1.0, abs_log2=1e-12)) == 0
 
     def test_negative_ordering(self):
         # -8 < -4: bigger magnitude is smaller on the negative side
-        assert log_cmp(LogReal(-1, 3.0), LogReal(-1, 2.0), self.tol) == -1
+        assert LogReal(-1, 3.0).cmp(LogReal(-1, 2.0), self.tol) == -1
 
     @given(a=finite_vals, b=finite_vals)
     @example(a=-999999999999998.0, b=-999999999999997.0)
@@ -148,7 +148,7 @@ class TestCmp:
         # ulp apart can share a stored exponent (math.log2 maps both pinned
         # magnitudes to 49.82892142331043): such pairs may tie, never invert
         la, lb = LogReal.from_float(a), LogReal.from_float(b)
-        got = log_cmp(la, lb, Tolerance(rel=1e-300, abs_log2=0.0))
+        got = la.cmp(lb, Tolerance(rel=1e-300, abs_log2=0.0))
         want = (a > b) - (a < b)
         assert got in (0, want)
         if (la.sign, la.log2mag) != (lb.sign, lb.log2mag):
@@ -205,7 +205,7 @@ class TestMonotoneReconstruction:
         vals.append(ZERO)
         as_floats = sorted(vals, key=lambda v: v.to_float())
         for u, v in zip(as_floats, as_floats[1:]):
-            assert log_cmp(u, v, tol) <= 0
+            assert u.cmp(v, tol) <= 0
 
 
 class TestToleranceType:

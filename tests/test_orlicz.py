@@ -224,19 +224,70 @@ class TestRatioInf:
             ratio_inf(geom, 0, LogReal.from_float(0.25))
         with pytest.raises(ValueError):
             ratio_inf(geom, 1, ZERO)
+        t = LogReal.from_float(0.25)
+        for scan, factor in ((ratio_inf, 1), (ratio_inf_general, 3.0)):
+            with pytest.raises(ValueError, match="depth must be >= 0"):
+                scan(geom, factor, t, depth=-1)
+            with pytest.raises(ValueError, match="t_max must be positive"):
+                scan(geom, factor, LogReal(-1, 0.0))
+        for m in (math.nan, math.inf, 1.5):
+            with pytest.raises(ValueError, match="m must be a positive integer"):
+                ratio_inf(geom, m, t)
+        for K in (math.nan, math.inf, -math.inf, 1.0, 0.5):
+            with pytest.raises(ValueError, match="scaling factor must be a finite real > 1"):
+                ratio_inf_general(geom, K, t)
 
-    def test_general_K_fallback_flagged(self, geom):
+    def test_general_K_exact_on_geometric(self, geom):
+        # M(3t)/M(t) = 8 where 3t is a breakpoint 2^-n; those points are not
+        # breakpoints of M, so only the merged grid visits them
         rep = ratio_inf_general(geom, 3.0, LogReal.from_float(0.25), depth=16)
-        assert rep.approximate
+        assert rep.infimum.log2mag == pytest.approx(3.0, abs=1e-12)
         # for the geometric fixture the ratio at 3x is between the 2x and 4x values
         assert 2.0 - 1e-9 <= rep.infimum.to_float() <= 16.0
 
-    def test_general_K_agrees_with_exact_path_at_powers_of_two(self, squares):
-        exact = ratio_inf(squares, 1, LogReal.from_float(0.25), depth=12)
-        approx = ratio_inf_general(squares, 2.0, LogReal.from_float(0.25), depth=12)
-        # sampling can only miss the infimum from above
-        assert approx.infimum.log2mag >= exact.infimum.log2mag - 1e-9
-        assert approx.infimum.log2mag <= exact.infimum.log2mag + 0.1
+    def test_general_K_agrees_with_exact_path_at_powers_of_two(self, squares, geom):
+        t_maxes = [
+            LogReal.from_float(0.25),
+            LogReal.from_float(0.3),
+            LogReal.from_float(1.0),
+            LogReal.two_pow(3.5),
+            LogReal.two_pow(-7.2),
+        ]
+        for M in (squares, geom):
+            for m in (1, 2, 3):
+                for t_max in t_maxes:
+                    exact = ratio_inf(M, m, t_max, depth=12)
+                    general = ratio_inf_general(M, 2.0**m, t_max, depth=12)
+                    assert general.grid == exact.grid
+                    assert [v.log2mag for v in general.values] == [v.log2mag for v in exact.values]
+                    assert general.trend == exact.trend
+                    assert general.arg_inf == exact.arg_inf
+
+    def test_general_K_dense_grid_oracle(self, squares, geom):
+        # the merged-breakpoint scan is exact on its window
+        # [2^-(n0 + depth), t_max]: no point of a dense grid undercuts it
+        from orliczlab import gen_sequences
+
+        depth = 10
+        per_octave = 200
+        gauges = (squares, geom, gen_sequences(45).make_function())
+        t_maxes = (LogReal.from_float(0.25), LogReal.from_float(0.3), LogReal.two_pow(3.5))
+        for M in gauges:
+            for K in (1.5, 3.0, 5.0, 2.0**0.5):
+                logK = math.log2(K)
+                for t_max in t_maxes:
+                    rep = ratio_inf_general(M, K, t_max, depth=depth)
+                    u_top = t_max.log2mag
+                    u_low = -(max(math.ceil(-u_top), 0) + depth)
+                    steps = int((u_top - u_low) * per_octave)
+                    dense = [u_top - (u_top - u_low) * i / steps for i in range(steps + 1)]
+                    low = min(M.eval_log2(u + logK) - M.eval_log2(u) for u in dense)
+                    assert rep.infimum.log2mag <= low + 1e-12, (M.slopes.label, K, t_max)
+                    # the infimum is the ratio at a grid point
+                    (u_inf,) = rep.arg_inf
+                    at_inf = M.eval_log2(u_inf + logK) - M.eval_log2(u_inf)
+                    assert rep.infimum.log2mag == pytest.approx(at_inf, abs=1e-12)
+                    assert u_low - 1e-9 <= u_inf <= u_top
 
     def test_oscillating_ratio_stays_inconclusive(self):
         # a slope sequence with crashes between flat stretches never settles

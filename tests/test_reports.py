@@ -96,7 +96,6 @@ def _edge_reports():
                 CheckRow(check="one", indices=(7,), lhs_log2=0.5),
                 CheckRow(check="two", indices=(0, -3), rhs_log2=-1.25, passed=False),
                 CheckRow(check="three", indices=(1, 2, 3), margin_log2=1e-300),
-                CheckRow(check="four", indices=(1, 2, 3, 4)),
                 CheckRow(check="list", indices=[5, 6]),
             ],
         ),
@@ -147,6 +146,13 @@ class TestGoldenBytes:
             "norm", "renorm", "claims", "ratio-bound", "probe", "cq", "norming-family",
         ]
         assert all(r.rows for r in reports)
+
+
+class TestCheckRow:
+    def test_more_than_three_indices_rejected(self):
+        # the renderers have three index columns; a fourth index has no cell
+        with pytest.raises(ValueError, match="at most 3 indices"):
+            CheckRow(check="four", indices=(1, 2, 3, 4))
 
 
 class TestCsvRoundTrip:
