@@ -291,12 +291,14 @@ def _head_attainment_search(
         return 0, []
     target, _ = _triple_norm_log2(M, eta, x.sorted_log2_magnitudes())
     slack = _TIE_SLACK_LOG2 + abs(target) * 1e-12
-    support = sorted(x.coords)
+    coords = x.coords  # in index order
+    support = list(coords)
+    log2_mags = [v.log2mag for v in coords.values()]
     probes: list[tuple[int, float]] = []
 
     def value_at(pos: int) -> float:
-        head = x.head(support[pos])
-        v, _ = _triple_norm_log2(M, eta, head.sorted_log2_magnitudes())
+        # the sorted magnitudes of x.head(support[pos])
+        v, _ = _triple_norm_log2(M, eta, sorted(log2_mags[: pos + 1], reverse=True))
         probes.append((support[pos], v))
         return v
 

@@ -9,9 +9,31 @@ s = 1/rho; with each |a_i| s on segment n_i the modular is C + s B, where
 C = sum c(n_i) and B = sum b(n_i) |a_i|, and a Newton step is
 s <- (1 - C) / B.  Every segment line lies below the convex M, so a step from
 anywhere lands at or right of the root, the steps from there decrease, and
-they end on the root once the segments stop moving.  The solver works on
-Python floats relative to the largest coordinate, so magnitudes far outside
-the double range are fine.
+they end on the root once the segments stop moving.
+
+One walk, `_NewtonWalk`, computes a single norm or every prefix norm of a
+nonincreasing magnitude list.  It holds s, each point's segment n_i and the
+point's two terms, and three rules keep it cheap:
+
+(a) Warm start.  Adding a coordinate raises the modular, so the root of
+    prefix k - 1 is a start right of the root of prefix k; prefix k only
+    appends the new coordinate's terms at that root.
+(b) Stop on repeated segments.  After a step the walk re-segments; if no n_i
+    moved, the next step would return the same value, so it stops there.
+(c) Partial recompute.  Only the terms of points that changed segment are
+    recomputed, or all of them when n_1 moved, because the terms are scaled
+    by a frame that depends on n_1 alone.
+
+The walk gives the same bits as re-solving every prefix from its start with
+every term recomputed at every step: each term comes from the same
+expression on the same frame, math.fsum rounds the exact sum correctly so the
+order of the terms does not matter, and breakpoint-table entries never change
+once computed.  It asks `segment_tables` for the same depths in the same
+order as that re-solve would, because new table entries depend on the order
+in which depths are requested.
+
+The walk works on Python floats relative to the largest coordinate, so
+magnitudes far outside the double range are fine.
 """
 
 from __future__ import annotations
@@ -137,62 +159,117 @@ def _norm_log2(M: DyadicOrliczFunction, sorted_log2: list[float]) -> float:
     already brings the modular to 1.
     """
     top = sorted_log2[0]
-    return top - _root_log2(M, [v - top for v in sorted_log2], M.inverse_log2(0.0))
+    return top - _NewtonWalk(M, M.inverse_log2(0.0)).root([v - top for v in sorted_log2])
 
 
 def _prefix_norms_log2(M: DyadicOrliczFunction, sorted_log2: list[float]) -> list[float]:
     """log2 Luxemburg norms of every prefix of a nonincreasing magnitude list.
 
-    Adding a coordinate raises the modular, so the root of prefix k - 1 is a
-    valid start for prefix k.
+    One walk serves every prefix: adding a coordinate raises the modular, so
+    the root of prefix k - 1 is a valid start for prefix k (rule (a)).
     """
     if not sorted_log2:
         return []
     top = sorted_log2[0]
-    rel = [v - top for v in sorted_log2]
-    s_log2 = M.inverse_log2(0.0)
-    out = []
-    for k in range(1, len(rel) + 1):
-        s_log2 = _root_log2(M, rel[:k], s_log2)
-        out.append(top - s_log2)
-    return out
+    walk = _NewtonWalk(M, M.inverse_log2(0.0))
+    return [top - walk.root((v - top,)) for v in sorted_log2]
 
 
-def _root_log2(M: DyadicOrliczFunction, rel: list[float], s_log2: float) -> float:
-    """log2 of the s > 0 with sum_i M(s 2^rel[i]) = 1, where 0 = rel[0] >= rel[1] >= ...
+class _NewtonWalk:
+    """Newton walk to the s > 0 with sum_i M(s 2^rel[i]) = 1, where 0 = rel[0] >= rel[1] >= ...
 
-    Newton steps from s_log2; the first step is always taken, so a start a few
-    ulps left of the root (a rounded M^(-1)(1)) still lands on the right.
+    Between calls the state is consistent at the current log2 s: `seg` holds
+    each point's segment n_i, and `neg_c` and `b_terms` its terms -c(n_i) and
+    b(n_i) 2^rel[i], both divided by the frame that `_frame` sets from n_1.
     """
-    nxt = _newton_step_log2(M, rel, s_log2)
-    while True:
-        s_log2, nxt = nxt, _newton_step_log2(M, rel, nxt)
-        if not nxt < s_log2:
-            return s_log2
 
+    __slots__ = ("M", "s", "rel", "seg", "neg_c", "b_terms", "n1", "top", "scale")
 
-def _newton_step_log2(M: DyadicOrliczFunction, rel: list[float], s_log2: float) -> float:
-    """log2 (1 - C) / B for the segments n_i holding the points s 2^rel[i].
+    def __init__(self, M: DyadicOrliczFunction, s_log2: float):
+        self.M = M
+        self.s = s_log2
+        self.rel: list[float] = []
+        self.seg: list[int] = []
+        self.neg_c: list[float] = []
+        self.b_terms: list[float] = []
+        self.n1 = -1  # no frame until the first points arrive
+        self.top = self.scale = 0.0
 
-    There the modular is C + s B with C = sum c(n_i) <= 0 and
-    B = sum b(n_i) 2^rel[i].  The first coordinate has the largest b(n_i) and
-    the largest b(n_i) 2^(-n_i - 1); dividing the B-terms and the C-terms by
-    these keeps every term at most 1, so no sum overflows however steep M is.
-    """
-    logb, logM = M.segment_tables(max(0, math.floor(-s_log2 - rel[-1])) + 1)
-    n1 = max(0, math.floor(-s_log2))
-    top = logb[n1]
-    scale = max(0.0, top - n1 - 1)
-    neg_c = []
-    b_terms = []
-    for r in rel:
-        n = math.floor(-s_log2 - r)
-        if n < 0:
-            n = 0
-        lb = logb[n]
-        # -c(n) = b(n) 2^(-n-1) - M(2^(-n-1)) >= 0: the segment line meets
-        # t = 0 below M(0) = 0
-        neg_c.append(2.0 ** (lb - n - 1 - scale) - 2.0 ** (logM[n + 1] - scale))
-        b_terms.append(2.0 ** (lb - top + r))
-    return (scale + math.log2(2.0 ** -scale + math.fsum(neg_c))
-            - math.log2(math.fsum(b_terms)) - top)
+    def root(self, new_rel: Iterable[float]) -> float:
+        """Append the points new_rel at the current s and walk to the new root.
+
+        Rule (a): only the new points get terms before the first step.  The
+        first step is always taken, so a start a few ulps left of the root (a
+        rounded M^(-1)(1)) still lands on the right.  Each step first asks for
+        the tables down to the segment of the smallest point, as a full
+        re-solve would.
+        """
+        M, rel, s = self.M, self.rel, self.s
+        floor = math.floor
+        start = len(rel)
+        rel.extend(new_rel)
+        logb, logM = M.segment_tables(max(0, floor(-s - rel[-1])) + 1)
+        seg = self.seg
+        for r in rel[start:]:
+            n = floor(-s - r)
+            seg.append(n if n > 0 else 0)
+        if seg[0] != self.n1:
+            self._frame(logb, seg[0])
+        self.neg_c += [0.0] * (len(rel) - start)
+        self.b_terms += [0.0] * (len(rel) - start)
+        self._terms(logb, logM, range(start, len(rel)))
+        nxt = self._step()
+        while True:
+            s = nxt
+            logb, logM = M.segment_tables(max(0, floor(-s - rel[-1])) + 1)
+            negs = -s
+            new = [floor(negs - r) for r in rel]
+            if min(new) < 0:
+                # points at t > 1 stay on segment 0, whose line M continues
+                new = [n if n > 0 else 0 for n in new]
+            if new == seg:
+                # rule (b): the step from these segments is the one just taken
+                break
+            # rule (c): new terms for the points that moved, or for all of
+            # them when the frame moved with n_1
+            if new[0] != self.n1:
+                self._frame(logb, new[0])
+                moved = range(len(rel))
+            else:
+                moved = [i for i in range(len(rel)) if new[i] != seg[i]]
+            self.seg = seg = new
+            self._terms(logb, logM, moved)
+            nxt = self._step()
+            if not nxt < s:
+                break
+        self.s = s
+        return s
+
+    def _frame(self, logb: list[float], n1: int) -> None:
+        """Set the frame from the first point's segment n_1.
+
+        The first point has the largest b(n_i) and the largest
+        b(n_i) 2^(-n_i - 1); dividing the terms by these keeps every term at
+        most 1, so no sum overflows however steep M is.
+        """
+        self.n1 = n1
+        self.top = logb[n1]
+        self.scale = max(0.0, self.top - n1 - 1)
+
+    def _terms(self, logb: list[float], logM: list[float], indices: Iterable[int]) -> None:
+        """Set both terms of the points at `indices` from their segments."""
+        seg, rel, neg_c, b_terms = self.seg, self.rel, self.neg_c, self.b_terms
+        top, scale = self.top, self.scale
+        for i in indices:
+            n = seg[i]
+            lb = logb[n]
+            # -c(n) = b(n) 2^(-n-1) - M(2^(-n-1)) >= 0: the segment line meets
+            # t = 0 below M(0) = 0
+            neg_c[i] = 2.0 ** (lb - n - 1 - scale) - 2.0 ** (logM[n + 1] - scale)
+            b_terms[i] = 2.0 ** (lb - top + rel[i])
+
+    def _step(self) -> float:
+        """log2 (1 - C) / B at the held segments, with C = sum c(n_i), B = sum b(n_i) 2^rel[i]."""
+        scale = self.scale
+        return (scale + math.log2(2.0 ** -scale + math.fsum(self.neg_c))
+                - math.log2(math.fsum(self.b_terms)) - self.top)

@@ -8,6 +8,7 @@ asserted where the criterion states one.
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -341,10 +342,12 @@ def test_c10_deterministic_csv(tmp_path):
     import subprocess
     import sys
 
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
     blobs = []
     for run, hash_seed in ((0, "1"), (1, "99")):
         out = tmp_path / f"proc_run{run}.csv"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
         subprocess.run(
             [
                 sys.executable,

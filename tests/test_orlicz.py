@@ -1,6 +1,7 @@
 """Dyadic piecewise-linear functions: closed forms, oracles, scan reports."""
 
 import math
+import random
 import threading
 
 import mpmath as mp
@@ -11,6 +12,7 @@ from orliczlab import (
     SlopeSequenceError,
     ZERO,
     compute_cq,
+    gen_sequences,
     geometric_slopes,
     identity_slopes,
     make_dyadic_plf,
@@ -389,3 +391,45 @@ class TestConcurrentCache:
         # values are the first-computed ones and stay put
         v = M.breakpoint_log2(123)
         assert M.breakpoint_log2(123) == v
+
+
+TABLE_GAUGES = {
+    "squares": squares_slopes,
+    "geometric": geometric_slopes,
+    "pow2_poly_fractional": lambda: slopes_pow2_poly(0.37, 0.61, 0.13),
+    "counterexample45": lambda: gen_sequences(45).slopes(),
+    # Slowly falling slopes, so the tail sums reach far.  For this gauge (found
+    # by a search over random pow2_poly gauges) summing a shallow entry again
+    # from a deeper start changes its last bit in most op sequences below.
+    "slow_geometric": lambda: slopes_pow2_poly(0.0, 0.09578692341574302, 0.8635789443020424),
+}
+
+
+class TestTableStability:
+    @pytest.mark.parametrize("gauge", sorted(TABLE_GAUGES))
+    def test_entries_keep_first_values(self, gauge):
+        """A table entry never changes once published, however the tables grow.
+
+        The Newton walk in vectors.py keeps terms computed from earlier tables
+        and relies on this to match a solve that recomputes them.
+        """
+        for seed in range(8):
+            rng = random.Random(f"tables-{gauge}-{seed}")
+            M = make_dyadic_plf(TABLE_GAUGES[gauge]())
+            seen = []
+            for _ in range(40):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    d = rng.randint(0, 400)
+                    logb, logM = M.segment_tables(d)
+                    assert len(logb) > d and len(logM) > d
+                elif kind == 1:
+                    M.eval_log2(-rng.uniform(0.0, 400.0))
+                else:
+                    M.inverse_log2(-rng.uniform(0.0, 400.0))
+                # every entry published so far, up to the current depth
+                logb, logM = M.segment_tables(0)
+                for b, m in seen:
+                    assert logb[: len(b)] == b
+                    assert logM[: len(m)] == m
+                seen.append((list(logb), list(logM)))

@@ -1,23 +1,35 @@
 """Finitely supported vectors, the modular and the Luxemburg norm."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from orliczlab import (
+    EtaSequence,
     FiniteVector,
     LogReal,
     ZERO,
+    gen_sequences,
     geometric_slopes,
+    greedy_nk,
+    growth_index,
     identity_slopes,
     luxemburg_norm,
     make_dyadic_plf,
     modular,
     rearrange,
     slopes_from_list,
+    slopes_pow2_poly,
     squares_slopes,
+    triple_norm,
 )
+from orliczlab import counterexample as counterexample_mod
+from orliczlab import renorm as renorm_mod
+from orliczlab import vectors as vectors_mod
+from orliczlab.counterexample import default_probe_t
+from orliczlab.renorm import _head_attainment_search
 from orliczlab.vectors import _prefix_norms_log2
 
 
@@ -309,3 +321,155 @@ class TestNewtonExactness:
             for k, got in enumerate(walk, start=1):
                 cold = luxemburg_norm(M, packed.head(k)).to_float()
                 assert 2.0 ** got == pytest.approx(cold, rel=1e-14, abs=0)
+
+
+# -- the walk against a full re-solve of every prefix ------------------------
+#
+# The reference below re-solves each prefix from the previous root and
+# recomputes every term at every step.  The walk must give the same bits and
+# ask for the same table depths in the same order, so the two run on twin
+# gauges and every result, and finally the tables themselves, compare with ==.
+
+
+def _resolve_root_log2(M, rel, s_log2):
+    nxt = _resolve_step_log2(M, rel, s_log2)
+    while True:
+        s_log2, nxt = nxt, _resolve_step_log2(M, rel, nxt)
+        if not nxt < s_log2:
+            return s_log2
+
+
+def _resolve_step_log2(M, rel, s_log2):
+    logb, logM = M.segment_tables(max(0, math.floor(-s_log2 - rel[-1])) + 1)
+    n1 = max(0, math.floor(-s_log2))
+    top = logb[n1]
+    scale = max(0.0, top - n1 - 1)
+    neg_c = []
+    b_terms = []
+    for r in rel:
+        n = math.floor(-s_log2 - r)
+        if n < 0:
+            n = 0
+        lb = logb[n]
+        neg_c.append(2.0 ** (lb - n - 1 - scale) - 2.0 ** (logM[n + 1] - scale))
+        b_terms.append(2.0 ** (lb - top + r))
+    return (scale + math.log2(2.0 ** -scale + math.fsum(neg_c))
+            - math.log2(math.fsum(b_terms)) - top)
+
+
+def _resolve_norm_log2(M, sorted_log2):
+    top = sorted_log2[0]
+    return top - _resolve_root_log2(M, [v - top for v in sorted_log2], M.inverse_log2(0.0))
+
+
+def _resolve_prefix_norms_log2(M, sorted_log2):
+    if not sorted_log2:
+        return []
+    top = sorted_log2[0]
+    rel = [v - top for v in sorted_log2]
+    s_log2 = M.inverse_log2(0.0)
+    out = []
+    for k in range(1, len(rel) + 1):
+        s_log2 = _resolve_root_log2(M, rel[:k], s_log2)
+        out.append(top - s_log2)
+    return out
+
+
+GOLDEN_GAUGES = {
+    "squares": squares_slopes,
+    "geometric": geometric_slopes,
+    "identity": identity_slopes,
+    "counterexample45": lambda: gen_sequences(45).slopes(),
+    "pow2_list": lambda: slopes_from_list(
+        [LogReal.two_pow(-e) for e in (0, 1, 3, 6, 10, 15, 21, 28)]
+    ),
+    # log2 slopes off the integers, so the frame's scaling is not exact
+    "pow2_poly_fractional": lambda: slopes_pow2_poly(0.37, 0.61, 0.13),
+}
+
+
+class TestWalkMatchesPerPrefixResolve:
+    @pytest.fixture
+    def resolve(self, monkeypatch):
+        """Run a callable with every solver entry point on the reference."""
+
+        def run(fn, *args):
+            with monkeypatch.context() as patch:
+                for module, name, ref in (
+                    (vectors_mod, "_norm_log2", _resolve_norm_log2),
+                    (vectors_mod, "_prefix_norms_log2", _resolve_prefix_norms_log2),
+                    (renorm_mod, "_prefix_norms_log2", _resolve_prefix_norms_log2),
+                    (counterexample_mod, "_norm_log2", _resolve_norm_log2),
+                ):
+                    patch.setattr(module, name, ref)
+                return fn(*args)
+
+        return run
+
+    @staticmethod
+    def observe(M, eta, x):
+        sl = x.sorted_log2_magnitudes()
+        value, attaining = triple_norm(M, eta, x)
+        m, probes = _head_attainment_search(M, eta, x)
+        heads = [triple_norm(M, eta, x.head(j))[0].log2mag for j, _ in probes]
+        return (
+            vectors_mod._prefix_norms_log2(M, sl),
+            vectors_mod._norm_log2(M, sl),
+            luxemburg_norm(M, x).log2mag,
+            value.log2mag,
+            attaining,
+            m,
+            probes,
+            heads,
+            growth_index(M, eta, rearrange(x)),
+        )
+
+    @staticmethod
+    def vectors(rng, count, sizes):
+        for _ in range(count):
+            n = rng.choice(sizes)
+            lo = rng.choice((-60.0, -30.0, -8.0, 3.0))
+            indices = sorted(rng.sample(range(1, 3 * n + 1), n))
+            yield FiniteVector(
+                {i: LogReal(rng.choice((-1, 1)), rng.uniform(lo, 4.0)) for i in indices}
+            )
+
+    @pytest.mark.parametrize("gauge", sorted(GOLDEN_GAUGES))
+    def test_shared_and_fresh_tables(self, gauge, resolve):
+        rng = random.Random(f"walk-{gauge}")
+        eta = EtaSequence.one_plus_pow2()
+        make = GOLDEN_GAUGES[gauge]
+        # twin gauges that see the same requests in the same order
+        walk_M, ref_M = make_dyadic_plf(make()), make_dyadic_plf(make())
+        for x in self.vectors(rng, 30, range(1, 61)):
+            got = self.observe(walk_M, eta, x)
+            assert got == resolve(self.observe, ref_M, eta, x)
+            # each probe's value is the triple norm of its basis-order head
+            assert got[7] == [v for _, v in got[6]]
+        # a fresh gauge per vector: the walk extends the tables while it runs
+        for x in self.vectors(rng, 6, range(1, 61)):
+            walk_fresh, ref_fresh = make_dyadic_plf(make()), make_dyadic_plf(make())
+            assert self.observe(walk_fresh, eta, x) == resolve(self.observe, ref_fresh, eta, x)
+            assert walk_fresh.segment_tables(0) == ref_fresh.segment_tables(0)
+        assert walk_M.segment_tables(0) == ref_M.segment_tables(0)
+
+    def test_wide_supports(self, resolve):
+        rng = random.Random(800)
+        ref_M = make_dyadic_plf(squares_slopes())
+        walk_M = make_dyadic_plf(squares_slopes())
+        for n in (200, 800):
+            sl = sorted((rng.uniform(-60.0, 4.0) for _ in range(n)), reverse=True)
+            got = (vectors_mod._prefix_norms_log2(walk_M, sl), vectors_mod._norm_log2(walk_M, sl))
+            assert got == resolve(
+                lambda: (vectors_mod._prefix_norms_log2(ref_M, sl), vectors_mod._norm_log2(ref_M, sl))
+            )
+        assert walk_M.segment_tables(0) == ref_M.segment_tables(0)
+
+    def test_greedy_trace(self, resolve):
+        eta = EtaSequence.one_plus_pow2()
+        for make, alpha, depth in (
+            (lambda: gen_sequences(45).make_function(), LogReal.one(), 30),
+            (lambda: make_dyadic_plf(identity_slopes()), LogReal.from_float(1.5), 6),
+        ):
+            got = greedy_nk(make(), eta, alpha, default_probe_t, depth)
+            assert got == resolve(greedy_nk, make(), eta, alpha, default_probe_t, depth)
