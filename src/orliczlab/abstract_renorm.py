@@ -10,10 +10,15 @@ W_j that (1 + eps_j)-norms the section, and evaluates
 
     sup_{n <= J} (1 + eta_n) max_{j <= n} max_{w in W_j} |<P_j x, w>| .
 
-Norming sets are built from an angular direction net: each direction
-contributes a finite-difference supporting functional of the section norm,
-rescaled into the dual ball; the two-sided sandwich is validated on a seeded
-sample grid at construction (a finite certificate, not a proof).  The
+Every pairing <P_j x, w> goes through SectionFunctional.pair_floats: the
+coordinates 1..j of x are framed once per call as floats relative to 2^top,
+top their largest log2 magnitude, and one LogReal is built from the result.
+
+Norming sets are built from an angular direction net: each direction is
+normed once and contributes a finite-difference supporting functional g of
+the section norm, rescaled into the dual ball as witnessed on the net and the
+validation samples; -g shares g's scale.  The two-sided sandwich is validated
+on the seeded sample grid (a finite certificate, not a proof).  The
 dimension cap of 3 keeps every net small enough to check in seconds.
 """
 
@@ -31,6 +36,10 @@ from .vectors import FiniteVector
 NormOracle = Callable[[FiniteVector], LogReal]
 
 _MAX_SECTION_DIM = 3
+# net doublings before build_norming_family gives up, and the relative
+# central-difference step of its supporting functionals
+_MAX_REFINEMENTS = 6
+_FD_STEP_REL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -50,20 +59,27 @@ class SectionFunctional:
 
     def pair(self, x: FiniteVector, upto: int | None = None) -> LogReal:
         """<P_j x, w> with j = min(upto, level); upto None means the level."""
-        j = self.level if upto is None else min(upto, self.level)
-        acc = ZERO
-        for i in range(1, j + 1):
-            coef = self.coefficients[i - 1] * self.scale
-            if coef == 0.0:
-                continue
-            xi = x.get(i)
-            if xi.sign != 0:
-                acc = acc + xi * LogReal.from_float(coef)
-        return acc
+        top, coords = _framed(x, self.level if upto is None else min(upto, self.level))
+        return _unframed(self.pair_floats(coords), top)
 
     def pair_floats(self, coords: Sequence[float]) -> float:
         j = min(len(coords), self.level)
         return self.scale * sum(self.coefficients[i] * coords[i] for i in range(j))
+
+
+def _framed(x: FiniteVector, j: int) -> tuple[float, list[float]]:
+    """Coordinates 1..j of x as floats relative to 2^top, top their largest
+    log2 magnitude; those ~1074 binades below it become 0."""
+    vals = [x.get(i) for i in range(1, j + 1)]
+    top = max((v.log2mag for v in vals if v.sign), default=0.0)
+    return top, [v.sign * 2.0 ** (v.log2mag - top) if v.sign else 0.0 for v in vals]
+
+
+def _unframed(v: float, top: float) -> LogReal:
+    """The LogReal v 2^top."""
+    if v == 0.0:
+        return ZERO
+    return LogReal(1 if v > 0.0 else -1, math.log2(abs(v)) + top)
 
 
 @dataclass
@@ -93,14 +109,14 @@ class ProjectionSeminormSpec:
 
 def projection_seminorm(spec: ProjectionSeminormSpec, x: FiniteVector) -> LogReal:
     """sup over k of (1 + eps_k) max_{n <= n_k} |<P_n x, w_k>|."""
-    best = ZERO
-    for w, n_k, e in zip(spec.functionals, spec.cutoffs, spec.eps):
-        weight = LogReal.from_float(1.0 + e)
-        for n in range(1, n_k + 1):
-            v = abs(w.pair(x, upto=n)) * weight
-            if v > best:
-                best = v
-    return best
+    limits = [min(n_k, w.level) for w, n_k in zip(spec.functionals, spec.cutoffs)]
+    top, coords = _framed(x, max(limits))
+    best = 0.0
+    for w, j, e in zip(spec.functionals, limits, spec.eps):
+        # cutoffs beyond the level repeat the pairing at the level
+        for n in range(1, j + 1):
+            best = max(best, abs(w.pair_floats(coords[:n])) * (1.0 + e))
+    return _unframed(best, top)
 
 
 @dataclass
@@ -181,20 +197,17 @@ def _directions(dim: int, count: int) -> list[tuple[float, ...]]:
 
 
 def _norm_float(oracle: NormOracle, coords: Sequence[float]) -> float:
-    vec = FiniteVector.from_floats(coords)
-    return oracle(vec).to_float()
+    return oracle(FiniteVector.from_floats(coords)).to_float()
 
 
-def _subgradient(oracle: NormOracle, point: Sequence[float], step: float) -> list[float]:
+def _subgradient(oracle: NormOracle, point: Sequence[float]) -> list[float]:
     """Central finite differences of the section norm at a generic point."""
-    g = []
-    for i in range(len(point)):
-        up = list(point)
-        dn = list(point)
-        up[i] += step
-        dn[i] -= step
-        g.append((_norm_float(oracle, up) - _norm_float(oracle, dn)) / (2.0 * step))
-    return g
+
+    def norm_at(i: int, h: float) -> float:
+        return _norm_float(oracle, [c + h if k == i else c for k, c in enumerate(point)])
+
+    h = _FD_STEP_REL
+    return [(norm_at(i, h) - norm_at(i, -h)) / (2.0 * h) for i in range(len(point))]
 
 
 def _sample_points(dim: int, count: int, rng: random.Random) -> list[list[float]]:
@@ -212,8 +225,6 @@ def build_norming_family(
     eps: float,
     seed: int = 0,
     validation_samples: int = 256,
-    max_refinements: int = 6,
-    fd_step_rel: float = 1e-7,
 ) -> list[SectionFunctional]:
     """Finite W with (1+eps)^(-1) ||x|| <= max_W |w(x)| <= ||x|| on the section.
 
@@ -235,10 +246,7 @@ def build_norming_family(
     if dim == 1:
         # the two dual-ball extreme points: w(c e_1) = c ||e_1|| = ||c e_1||
         n1 = _norm_float(norm_oracle, [1.0])
-        return [
-            SectionFunctional(1, (n1,)),
-            SectionFunctional(1, (-n1,)),
-        ]
+        return [SectionFunctional(1, (n1,)), SectionFunctional(1, (-n1,))]
 
     rng = random.Random(seed)
     samples = _sample_points(dim, validation_samples, rng)
@@ -249,44 +257,39 @@ def build_norming_family(
     count = max(6, int(math.ceil(2.0 * math.pi / theta)))
     lower = 1.0 / (1.0 + eps)
 
-    for _ in range(max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
+        net = _directions(dim, count)
+        net_norms = [_norm_float(norm_oracle, d) for d in net]
+        if min(net_norms) <= 0.0:
+            d = net[net_norms.index(min(net_norms))]
+            raise ValueError(f"norm oracle vanishes at direction {d}; not a norm")
+        # the dual ball as witnessed on samples + net
+        probe = samples + net
+        probe_norms = sample_norms + net_norms
         funcs: list[SectionFunctional] = []
         seen: set[tuple[float, ...]] = set()
-        for d in _directions(dim, count):
-            nd = _norm_float(norm_oracle, d)
-            if nd <= 0.0:
-                raise ValueError(f"norm oracle vanishes at direction {d}; not a norm")
-            point = [c / nd for c in d]  # on the unit sphere of the section norm
-            g = _subgradient(norm_oracle, point, fd_step_rel)
+        for d, nd in zip(net, net_norms):
+            # a point on the unit sphere of the section norm
+            g = _subgradient(norm_oracle, [c / nd for c in d])
+            scale = None
             for vec in (tuple(g), tuple(-c for c in g)):
                 # finite differences carry ~1e-9 noise; key well above it
                 key = tuple(round(c, 6) for c in vec)
-                if key not in seen:
-                    seen.add(key)
-                    funcs.append(SectionFunctional(dim, vec))
-        # rescale into the dual ball as witnessed on net + samples
-        probe = samples + [list(d) for d in _directions(dim, count)]
-        probe_norms = sample_norms + [
-            _norm_float(norm_oracle, d) for d in _directions(dim, count)
-        ]
-        rescaled: list[SectionFunctional] = []
-        for w in funcs:
-            c_w = max(
-                abs(w.pair_floats(p)) / n for p, n in zip(probe, probe_norms)
-            )
-            scale = 1.0 / c_w if c_w > 1.0 else 1.0
-            rescaled.append(SectionFunctional(w.level, w.coefficients, w.scale * scale))
-        ok = True
-        for p, n in zip(samples, sample_norms):
-            best = max(abs(w.pair_floats(p)) for w in rescaled)
-            if best < lower * n * (1.0 - 1e-9):
-                ok = False
-                break
-        if ok:
-            return rescaled
+                if key in seen:
+                    continue
+                seen.add(key)
+                if scale is None:
+                    # negation is exact, so -g gets g's scale bit for bit
+                    w = SectionFunctional(dim, vec)
+                    c_w = max(abs(w.pair_floats(p)) / n for p, n in zip(probe, probe_norms))
+                    scale = 1.0 / c_w if c_w > 1.0 else 1.0
+                funcs.append(SectionFunctional(dim, vec, scale))
+        if not any(max(abs(w.pair_floats(p)) for w in funcs) < lower * n * (1.0 - 1e-9)
+                   for p, n in zip(samples, sample_norms)):
+            return funcs
         count *= 2
     raise ValueError(
-        f"could not reach the (1+{eps})-sandwich after {max_refinements} net refinements"
+        f"could not reach the (1+{eps})-sandwich after {_MAX_REFINEMENTS} net refinements"
     )
 
 
@@ -311,22 +314,19 @@ def assemble_norming_family(
 
 def rho_eval(family: NormingFamily, x: FiniteVector) -> LogReal:
     """sup over n <= J of (1 + eta_n) max_{j <= n} max_{W_j} |<P_j x, w>|."""
-    top = family.top_level
-    if x.max_index > top:
+    J = family.top_level
+    if x.max_index > J:
         raise ValueError(
-            f"support reaches index {x.max_index}, beyond the family's top level {top}"
+            f"support reaches index {x.max_index}, beyond the family's top level {J}"
         )
-    best = ZERO
-    inner = ZERO
+    top, coords = _framed(x, J)
+    best = inner = 0.0
     for lvl in sorted(family.levels, key=lambda l: l.level):
+        section = coords[: lvl.level]
         for w in lvl.functionals:
-            v = abs(w.pair(x, upto=lvl.level))
-            if v > inner:
-                inner = v
-        weighted = inner * LogReal.from_float(1.0 + lvl.eta)
-        if weighted > best:
-            best = weighted
-    return best
+            inner = max(inner, abs(w.pair_floats(section)))
+        best = max(best, inner * (1.0 + lvl.eta))
+    return _unframed(best, top)
 
 
 def check_precisely_norming(
@@ -342,11 +342,13 @@ def check_precisely_norming(
     """
     if not W:
         raise ValueError("empty functional set")
+    level = max(w.level for w in W)
     rows = []
     worst_gap = 0.0
     for i, x in enumerate(samples):
         nx = norm_oracle(x).to_float()
-        best = max(abs(w.pair(x)).to_float() for w in W)
+        top, coords = _framed(x, level)
+        best = _unframed(max(abs(w.pair_floats(coords)) for w in W), top).to_float()
         gap = (nx - best) / nx if nx > 0 else 0.0
         worst_gap = max(worst_gap, gap)
         rows.append(

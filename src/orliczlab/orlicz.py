@@ -153,34 +153,33 @@ class DyadicOrliczFunction:
     # -- breakpoint tables ---------------------------------------------------
 
     def _ensure_depth(self, depth: int) -> None:
-        """Extend cached tables so logM[0..depth] and logb[0..depth] exist."""
+        """Extend cached tables so logM[0..depth] and logb[0..depth] exist.
+
+        They grow in fixed blocks [0, 8], (8, 16], (16, 32], ... (capped at
+        _MAX_TABLE_DEPTH), each summing its own tail from its end + lookahead,
+        so no entry depends on the depths requested before."""
         if depth <= self._depth:
             return
         if depth > _MAX_TABLE_DEPTH:
             raise ValueError(f"breakpoint depth {depth} exceeds the table cap {_MAX_TABLE_DEPTH}")
         with self._lock:
-            if depth <= self._depth:
-                return
-            depth = max(depth, 2 * max(self._depth, 4))
-            depth = min(depth, _MAX_TABLE_DEPTH)
-            hi = depth + self._lookahead
-            logb_ext = [self.slopes.log2_slope(n) for n in range(self._depth + 1, hi + 1)]
-            # monotonicity across the extension seam and inside the new window
-            _check_log2_slopes(
-                logb_ext, self._depth + 1, self._logb[-1] if self._logb else math.inf
-            )
-            logb_all = self._logb + logb_ext
-            # tail sums, deepest first: logM[n] = log2(b(n) 2^(-n-1) + M(2^(-n-1)))
-            acc = -math.inf
-            new_logM = []
-            for n in range(hi, self._depth, -1):
-                acc = log2_add(acc, logb_all[n] - n - 1.0)
-                if n <= depth:
-                    new_logM.append(acc)
-            # existing shallow entries keep their first-computed values
-            self._logM = self._logM + new_logM[::-1]
-            self._logb = logb_all[: depth + 1]
-            self._depth = depth
+            while self._depth < depth:
+                first = self._depth + 1
+                end = min(2 * max(self._depth, 4), _MAX_TABLE_DEPTH)
+                hi = end + self._lookahead
+                logb_ext = [self.slopes.log2_slope(n) for n in range(first, hi + 1)]
+                # monotonicity across the extension seam and inside the new window
+                _check_log2_slopes(logb_ext, first, self._logb[-1] if self._logb else math.inf)
+                # tail sums, deepest first: logM[n] = log2(b(n) 2^(-n-1) + M(2^(-n-1)))
+                acc = -math.inf
+                new_logM = []
+                for n in range(hi, first - 1, -1):
+                    acc = log2_add(acc, logb_ext[n - first] - n - 1.0)
+                    if n <= end:
+                        new_logM.append(acc)
+                self._logM = self._logM + new_logM[::-1]
+                self._logb = self._logb + logb_ext[: end - first + 1]
+                self._depth = end
 
     def breakpoint_log2(self, n: int) -> float:
         """log2 of M(2^(-n))."""
@@ -356,9 +355,7 @@ def _ratio_scan(M: DyadicOrliczFunction, logK: float, t_max: LogReal, depth: int
     n_end = n0 + depth
     ratio: dict[float, float] = {}  # log2 t -> log2 M(Kt) / M(t)
     if -float(n0) < u_top:
-        # t_max is not a breakpoint.  Each table extension sums its own tail,
-        # so breakpoint values can move in the last bit with the extension
-        # steps; evaluating t_max before growing the tables to n_end fixes them.
+        # t_max is not a breakpoint
         ratio[u_top] = M.eval_log2(u_top + logK) - M.eval_log2(u_top)
     M._ensure_depth(n_end + 1)
     logM = M._logM

@@ -27,6 +27,10 @@ from .vectors import FiniteVector, _prefix_norms_log2
 # slack used when locating maxima / attainment among norm values that each
 # carry their own rounding; ties resolve to the smallest index
 _TIE_SLACK_LOG2 = 1e-11
+# build_eta gives up when the last eta floor still exceeds 1 + _TAIL_GAP
+_TAIL_GAP = 0.5
+# breakpoints scanned below each t_max for a b_k
+_BK_SCAN_DEPTH = 64
 
 
 class EtaInfeasibleError(ValueError):
@@ -97,11 +101,7 @@ class EtaSequence:
         )
 
 
-def build_eta(
-    bk: Callable[[int], LogReal],
-    k_max: int,
-    tail_gap: float = 0.5,
-) -> EtaSequence:
+def build_eta(bk: Callable[[int], LogReal], k_max: int) -> EtaSequence:
     """Construct eta from computed b_k values.
 
     Each eta_k must exceed (1 - 1/b_{k+1})^(-1); the constructor takes the
@@ -112,7 +112,7 @@ def build_eta(
     do.
 
     Raises EtaInfeasibleError when the floor at the end of the scan still
-    exceeds 1 + tail_gap: the b_k seen were bounded, so no sequence decreasing
+    exceeds 1 + _TAIL_GAP: the b_k seen were bounded, so no sequence decreasing
     to 1 can satisfy the constraints.
     """
     if k_max < 1:
@@ -136,7 +136,7 @@ def build_eta(
     # if the computed b_k wobble
     suffix = list(accumulate(reversed(floors_log2), max))[::-1]
     tail_floor_log2 = floors_log2[-1]
-    if tail_floor_log2 > math.log2(1.0 + tail_gap):
+    if tail_floor_log2 > math.log2(1.0 + _TAIL_GAP):
         floor_value = 2.0 ** tail_floor_log2
         raise EtaInfeasibleError(
             k_max + 1,
@@ -167,20 +167,16 @@ class BkValue:
         return self.trend != "inconclusive"
 
 
-def compute_bk(
-    M: DyadicOrliczFunction, m: int, k: int, depth: int = 64
-) -> BkValue:
+def compute_bk(M: DyadicOrliczFunction, m: int, k: int) -> BkValue:
     """b_k = inf of M(2^m t)/M(t) over 0 < t <= M^(-1)(1/k)."""
     if k < 1:
         raise ValueError(f"index k must be >= 1, got {k}")
     t_max = LogReal.from_log2(M.inverse_log2(-math.log2(k)))
-    report = ratio_inf(M, m, t_max, depth=depth)
+    report = ratio_inf(M, m, t_max, depth=_BK_SCAN_DEPTH)
     return BkValue(report.infimum, report.trend, t_max)
 
 
-def compute_bk_at_scale(
-    M: DyadicOrliczFunction, m: int, k: int, depth: int = 64
-) -> BkValue:
+def compute_bk_at_scale(M: DyadicOrliczFunction, m: int, k: int) -> BkValue:
     """Scale-indexed variant: the k-th infimum is taken over 0 < t <= 2^(-k).
 
     The t-range shrinks geometrically with k instead of through M^(-1)(1/k),
@@ -190,7 +186,7 @@ def compute_bk_at_scale(
     if k < 1:
         raise ValueError(f"index k must be >= 1, got {k}")
     t_max = LogReal.two_pow(-float(k))
-    report = ratio_inf(M, m, t_max, depth=depth)
+    report = ratio_inf(M, m, t_max, depth=_BK_SCAN_DEPTH)
     return BkValue(report.infimum, report.trend, t_max)
 
 
@@ -219,22 +215,16 @@ class RenormScheme:
         return "\n".join(lines) + "\n"
 
 
-def build_renorm_scheme(
-    M: DyadicOrliczFunction,
-    m: int,
-    k_max: int,
-    depth: int = 64,
-    tail_gap: float = 0.5,
-) -> RenormScheme:
+def build_renorm_scheme(M: DyadicOrliczFunction, m: int, k_max: int) -> RenormScheme:
     """Compute the scale-indexed b_k table and a feasible eta, or fail loudly."""
     table: dict[int, LogReal] = {}
     inconclusive: list[int] = []
     for k in range(1, k_max + 2):
-        bv = compute_bk_at_scale(M, m, k, depth=depth)
+        bv = compute_bk_at_scale(M, m, k)
         table[k] = bv.value
         if not bv.conclusive:
             inconclusive.append(k)
-    eta = build_eta(lambda k: table[k], k_max, tail_gap=tail_gap)
+    eta = build_eta(lambda k: table[k], k_max)
     return RenormScheme(
         m=m, k_max=k_max, bk_table=table, eta=eta, inconclusive_k=inconclusive
     )

@@ -28,9 +28,7 @@ The walk gives the same bits as re-solving every prefix from its start with
 every term recomputed at every step: each term comes from the same
 expression on the same frame, math.fsum rounds the exact sum correctly so the
 order of the terms does not matter, and breakpoint-table entries never change
-once computed.  It asks `segment_tables` for the same depths in the same
-order as that re-solve would, because new table entries depend on the order
-in which depths are requested.
+once computed.
 
 The walk works on Python floats relative to the largest coordinate, so
 magnitudes far outside the double range are fine.
@@ -41,7 +39,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping
 
-from .logreal import LogReal, ZERO, log_sum
+from .logreal import LogReal, ZERO
 from .orlicz import DyadicOrliczFunction
 
 
@@ -142,7 +140,11 @@ def modular(M: DyadicOrliczFunction, x: FiniteVector, rho: LogReal) -> LogReal:
     """Sum of M(|a_i| / rho) over the support of x."""
     if rho.sign <= 0:
         raise ValueError(f"modular scale rho must be positive, got {rho}")
-    return log_sum(M.eval(abs(v) / rho) for v in x.coords.values())
+    if x.is_zero:
+        return ZERO
+    logs = [M.eval_log2(v - rho.log2mag) for v in x.sorted_log2_magnitudes()]
+    top = max(logs)
+    return LogReal.from_log2(top + math.log2(math.fsum(2.0 ** (v - top) for v in logs)))
 
 
 def luxemburg_norm(M: DyadicOrliczFunction, x: FiniteVector) -> LogReal:
@@ -201,8 +203,7 @@ class _NewtonWalk:
         Rule (a): only the new points get terms before the first step.  The
         first step is always taken, so a start a few ulps left of the root (a
         rounded M^(-1)(1)) still lands on the right.  Each step first asks for
-        the tables down to the segment of the smallest point, as a full
-        re-solve would.
+        the tables down to the segment of the smallest point.
         """
         M, rel, s = self.M, self.rel, self.s
         floor = math.floor

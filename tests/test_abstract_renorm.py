@@ -24,6 +24,7 @@ from orliczlab import (
     squares_slopes,
     triple_norm,
 )
+from orliczlab.abstract_renorm import _directions
 
 
 def l1_oracle(v: FiniteVector) -> LogReal:
@@ -48,6 +49,148 @@ def triple_oracle():
         return value
 
     return oracle
+
+
+# -- reference pairing: per-element LogReal arithmetic --------------------------
+
+
+def ref_pair(w: SectionFunctional, x: FiniteVector, upto=None) -> LogReal:
+    j = w.level if upto is None else min(upto, w.level)
+    acc = ZERO
+    for i in range(1, j + 1):
+        coef = w.coefficients[i - 1] * w.scale
+        if coef == 0.0:
+            continue
+        xi = x.get(i)
+        if xi.sign != 0:
+            acc = acc + xi * LogReal.from_float(coef)
+    return acc
+
+
+def ref_projection_seminorm(spec: ProjectionSeminormSpec, x: FiniteVector) -> LogReal:
+    best = ZERO
+    for w, n_k, e in zip(spec.functionals, spec.cutoffs, spec.eps):
+        weight = LogReal.from_float(1.0 + e)
+        for n in range(1, n_k + 1):
+            v = abs(ref_pair(w, x, upto=n)) * weight
+            if v > best:
+                best = v
+    return best
+
+
+def ref_rho_eval(family: NormingFamily, x: FiniteVector) -> LogReal:
+    best = inner = ZERO
+    for lvl in sorted(family.levels, key=lambda l: l.level):
+        for w in lvl.functionals:
+            v = abs(ref_pair(w, x, upto=lvl.level))
+            if v > inner:
+                inner = v
+        weighted = inner * LogReal.from_float(1.0 + lvl.eta)
+        if weighted > best:
+            best = weighted
+    return best
+
+
+def _random_functional(rng: random.Random, level: int) -> SectionFunctional:
+    coeffs = tuple(0.0 if rng.random() < 0.25 else rng.uniform(-2.0, 2.0) for _ in range(level))
+    return SectionFunctional(level, coeffs, 2.0 ** rng.uniform(-3.0, 3.0))
+
+
+def _random_vector(rng: random.Random, dim: int, offset: float) -> FiniteVector:
+    """Coordinates 1..dim of magnitude 2^(offset +- 20), some of them zero."""
+    coords = {}
+    for i in range(1, dim + 1):
+        if rng.random() < 0.8:
+            coords[i] = LogReal(rng.choice([-1, 1]), offset + rng.uniform(-20.0, 20.0))
+    return FiniteVector(coords)
+
+
+def _assert_close(got: LogReal, want: LogReal, mass_log2: float) -> None:
+    """got == want up to 4e-15 of the pairing's mass sum |w_i x_i|, plus the
+    resolution of log2 magnitudes near mass_log2."""
+    if want.sign == 0:
+        assert got == ZERO
+        return
+
+    def rel(v: LogReal) -> float:
+        return v.sign * 2.0 ** (v.log2mag - mass_log2) if v.sign else 0.0
+
+    assert abs(rel(got) - rel(want)) <= 4e-15 + 4.0 * math.ulp(mass_log2), (got, want)
+
+
+def _mass_log2(ws, x: FiniteVector, upto: int) -> float:
+    """log2 of the largest sum |w_i x_i| over the functionals ws, i <= upto."""
+    masses = []
+    for w in ws:
+        terms = [abs(x.get(i)) * LogReal.from_float(abs(c * w.scale))
+                 for i, c in enumerate(w.coefficients[:upto], start=1)]
+        total = ZERO
+        for t in terms:
+            total = total + t
+        masses.append(total.log2mag if total.sign else -math.inf)
+    return max(masses)
+
+
+OFFSETS = (0.0, 3000.0, -3000.0, 900.0, -1000.0)
+
+
+class TestFloatPairingMatchesLogReal:
+    """pair, projection_seminorm and rho_eval pair in floats on one frame; the
+    per-element LogReal loop they replaced is kept above as the reference."""
+
+    def test_pair(self):
+        rng = random.Random("pair-reference")
+        for offset in OFFSETS:
+            for _ in range(300):
+                level = rng.randint(1, 4)
+                w = _random_functional(rng, level)
+                x = _random_vector(rng, rng.randint(0, 5), offset)
+                upto = rng.choice([None, 1, 2, 3, 4, 6])
+                j = level if upto is None else min(upto, level)
+                _assert_close(w.pair(x, upto), ref_pair(w, x, upto), _mass_log2([w], x, j))
+
+    def test_projection_seminorm(self):
+        rng = random.Random("projection-reference")
+        for offset in OFFSETS:
+            for _ in range(100):
+                n = rng.randint(1, 4)
+                funcs = [_random_functional(rng, rng.randint(1, 4)) for _ in range(n)]
+                cutoffs = [rng.randint(1, 5) for _ in range(n)]
+                spec = ProjectionSeminormSpec(funcs, cutoffs, [rng.uniform(0.1, 0.9) for _ in range(n)],
+                                              [0.0] * n)
+                x = _random_vector(rng, rng.randint(0, 5), offset)
+                _assert_close(projection_seminorm(spec, x), ref_projection_seminorm(spec, x),
+                              1.0 + _mass_log2(funcs, x, 5))
+
+    def test_rho_eval(self):
+        rng = random.Random("rho-reference")
+        for offset in OFFSETS:
+            for _ in range(100):
+                levels = []
+                for j in range(1, rng.randint(1, 3) + 1):
+                    eps = rng.uniform(0.05, 0.4)
+                    funcs = [_random_functional(rng, j) for _ in range(rng.randint(1, 4))]
+                    levels.append(NormingLevel(j, funcs, eps=eps, eta=rng.uniform(eps + 0.01, 0.95)))
+                fam = NormingFamily(levels)
+                x = _random_vector(rng, rng.randint(0, fam.top_level), offset)
+                mass = _mass_log2([w for lvl in levels for w in lvl.functionals], x, 3)
+                _assert_close(rho_eval(fam, x), ref_rho_eval(fam, x), 1.0 + mass)
+
+    @pytest.mark.parametrize("offset", OFFSETS)
+    def test_exact_cancellation_is_zero(self, offset):
+        t = LogReal(1, offset + 0.3)
+        x = FiniteVector({1: t, 2: t, 3: -t})
+        w = SectionFunctional(2, (1.0, -1.0), scale=3.0)
+        assert ref_pair(w, x) == ZERO
+        assert w.pair(x) == ZERO
+        assert SectionFunctional(3, (1.0, 1.0, 2.0)).pair(x) == ZERO
+        spec = ProjectionSeminormSpec([w], [2], [0.5], [0.1])
+        # n = 1 pairs t alone; n = 2 cancels
+        assert projection_seminorm(spec, x.head(2)).log2mag == pytest.approx(
+            ref_projection_seminorm(spec, x.head(2)).log2mag, rel=1e-15)
+        fam = NormingFamily([NormingLevel(2, [w], eps=0.2, eta=0.5)])
+        assert rho_eval(fam, x.head(2)) == ZERO
+        assert ref_rho_eval(fam, x.head(2)) == ZERO
 
 
 class TestSectionFunctional:
@@ -166,6 +309,36 @@ class TestBuildNormingFamily:
     def test_dimension_cap(self, triple_oracle):
         with pytest.raises(ValueError):
             build_norming_family(triple_oracle, 4, eps=0.2)
+
+    @pytest.mark.parametrize("dim, eps, net", [(2, 0.3, 7), (2, 0.2, 8), (3, 0.3, 16)])
+    def test_oracle_calls(self, dim, eps, net):
+        """dim unit checks, one call per validation sample, and per net
+        direction one norm plus 2 dim finite differences; the l1 family passes
+        on the first net."""
+        calls = []
+
+        def counted(v: FiniteVector) -> LogReal:
+            calls.append(v)
+            return l1_oracle(v)
+
+        build_norming_family(counted, dim, eps=eps, seed=5, validation_samples=32)
+        assert len(_directions(dim, 7 if eps == 0.3 else 8)) == net
+        assert len(calls) == dim + 32 + net * (1 + 2 * dim)
+
+    @pytest.mark.parametrize("oracle_name, dim, eps, seed", [
+        ("l2", 2, 0.2, 9), ("l1", 2, 0.3, 5), ("l1", 3, 0.2, 5), ("triple", 3, 0.35, 2),
+    ])
+    def test_opposite_functionals_share_scale(self, oracle_name, dim, eps, seed, triple_oracle):
+        oracle = {"l1": l1_oracle, "l2": l2_oracle, "triple": triple_oracle}[oracle_name]
+        W = build_norming_family(oracle, dim, eps=eps, seed=seed)
+        scales = {w.coefficients: w.scale for w in W}
+        pairs = 0
+        for w in W:
+            neg = tuple(-c for c in w.coefficients)
+            if neg in scales:
+                assert scales[neg] == w.scale
+                pairs += 1
+        assert pairs >= len(W) // 2
 
     def test_degenerate_oracle_rejected(self):
         def broken(v: FiniteVector) -> LogReal:

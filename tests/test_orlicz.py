@@ -433,3 +433,29 @@ class TestTableStability:
                     assert logb[: len(b)] == b
                     assert logM[: len(m)] == m
                 seen.append((list(logb), list(logM)))
+
+    # Constant slopes 2^-c, and the request orders that, summing each
+    # extension's tail from its own end, gave entries with other last bits
+    # than one request for the deepest depth; found by a search over random
+    # gauges and orders.
+    @pytest.mark.parametrize("c, requests", [
+        (-51.798156420812, [102, 193, 237, 272, 295]),
+        (-33.080804250462364, [32, 87, 144, 214, 251]),
+        (-32.19961022962024, [11, 21, 46, 154, 199]),
+        (-2.7181891823201525, [127, 160, 211, 260]),
+        (-27.08633403733947, [45, 52, 58, 99, 191, 288]),
+    ])
+    def test_entries_independent_of_request_order(self, c, requests):
+        """Twin gauges, one grown step by step and one at once, have equal tables."""
+        rng = random.Random(f"order-{c}")
+        orders = [requests] + [sorted(rng.randint(9, 300) for _ in range(rng.randint(2, 6)))
+                               for _ in range(10)]
+        for order in orders:
+            stepwise = make_dyadic_plf(slopes_pow2_poly(0.0, 0.0, c))
+            for d in order:
+                stepwise.segment_tables(d)
+            at_once = make_dyadic_plf(slopes_pow2_poly(0.0, 0.0, c))
+            at_once.segment_tables(order[-1])
+            n = order[-1] + 1
+            assert stepwise.segment_tables(0)[0][:n] == at_once.segment_tables(0)[0][:n]
+            assert stepwise.segment_tables(0)[1][:n] == at_once.segment_tables(0)[1][:n]

@@ -116,6 +116,22 @@ class TestModular:
         got = modular(geom, x, LogReal.from_float(1.0))
         assert got.to_float() == pytest.approx(5.0 / 24.0, rel=1e-13)
 
+    @pytest.mark.parametrize("offset", [0.0, 3000.0, -3000.0])
+    def test_matches_logreal_sum(self, geom, offset):
+        """The float sum in a frame against the LogReal log-sum-exp it replaced."""
+        rng = random.Random(f"modular-{offset}")
+        squares = make_dyadic_plf(squares_slopes())
+        for M in (geom, squares):
+            for _ in range(100):
+                x = FiniteVector({i: LogReal(rng.choice([-1, 1]), offset + rng.uniform(-30.0, 5.0))
+                                  for i in range(1, rng.randint(1, 30) + 1)})
+                rho = LogReal(1, offset + rng.uniform(-10.0, 10.0))
+                want = ZERO
+                for v in x.coords.values():
+                    want = want + M.eval(abs(v) / rho)
+                got = modular(M, x, rho)
+                assert abs(got.log2mag - want.log2mag) <= 4e-15 * max(1.0, abs(want.log2mag))
+
     def test_rho_validation(self, geom):
         with pytest.raises(ValueError):
             modular(geom, FiniteVector({}), ZERO)
