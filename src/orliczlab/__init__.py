@@ -19,7 +19,6 @@ from .orlicz import (
 )
 from .vectors import FiniteVector, luxemburg_norm, modular, rearrange
 from .renorm import (
-    BkValue,
     EtaInfeasibleError,
     EtaSequence,
     RenormScheme,

@@ -158,9 +158,9 @@ def run_suite(config: SuiteConfig) -> Report:
             CheckRow(
                 check="power-weighted-ratio",
                 indices=tuple(int(g) for g in grid),
-                lhs_log2=value.log2mag,
+                lhs_log2=value,
             )
-            for grid, value in zip(report.grid, report.values)
+            for grid, value in zip(report.grid, report.values_log2)
         ]
         return Report(
             name="cq",

@@ -395,7 +395,6 @@ def greedy_nk(
     tried: list[int] = []
     prev_value = -math.inf
     n = 1
-    eta.ensure_valid(depth + 1)
     for k in range(1, depth + 1):
         # triangle-inequality bound: if it already fits the budget, minimality
         # must keep n unchanged at this step

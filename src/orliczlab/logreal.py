@@ -64,7 +64,7 @@ def log2_sub(a: float, b: float) -> float:
     if a == b:
         return -math.inf
     d = b - a  # < 0
-    return a + math.log1p(-math.exp(d * _LN2)) * _LOG2E
+    return a + math.log(-math.expm1(d * _LN2)) * _LOG2E
 
 
 @dataclass(frozen=True)

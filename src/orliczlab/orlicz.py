@@ -13,6 +13,7 @@ with at-most-once insertion and are safe for concurrent readers.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -48,13 +49,11 @@ class SlopeSequence:
         self,
         log2_fn: Callable[[int], float],
         kind: str = "custom",
-        length_hint: int | None = None,
         label: str = "",
         source: object | None = None,
     ):
         self._log2_fn = log2_fn
         self.kind = kind
-        self.length_hint = length_hint
         self.label = label or kind
         self.source = source
 
@@ -99,7 +98,7 @@ def slopes_from_list(values: Sequence[LogReal]) -> SlopeSequence:
     def fn(n: int) -> float:
         return logs[n] if n < len(logs) else tail
 
-    seq = SlopeSequence(fn, kind="list", length_hint=len(logs), label=f"list[{len(logs)}]")
+    seq = SlopeSequence(fn, kind="list", label=f"list[{len(logs)}]")
     seq.validate(len(logs))
     return seq
 
@@ -190,9 +189,6 @@ class DyadicOrliczFunction:
 
     def breakpoint_value(self, n: int) -> LogReal:
         return LogReal.from_log2(self.breakpoint_log2(n))
-
-    def slope(self, n: int) -> LogReal:
-        return self.slopes.b(n)
 
     def segment_tables(self, depth: int) -> tuple[list[float], list[float]]:
         """The log2 b(n) and log2 M(2^(-n)) tables, both defined up to n = depth."""
@@ -306,37 +302,31 @@ def classify_tail(values_log2: Sequence[float]) -> str:
 
 @dataclass
 class RatioReport:
-    """Scan of a ratio over a grid, with extrema and a tail-trend verdict."""
+    """Scan of a ratio over a grid: log2 values and a tail-trend verdict.
+
+    The extrema are read off the values; ties go to the first grid point.
+    """
 
     grid: list[tuple[float, ...]]        # scan labels (log2 t, or (m, n) pairs)
-    values: list[LogReal]
-    infimum: LogReal
-    supremum: LogReal
-    arg_inf: tuple[float, ...]
-    arg_sup: tuple[float, ...]
+    values_log2: list[float]
     trend: str
     aux: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        for v in self.values:
-            if v < self.infimum or v > self.supremum:
-                raise AssertionError("scanned value outside [infimum, supremum]")
+    @property
+    def infimum(self) -> LogReal:
+        return LogReal(1, min(self.values_log2))
 
+    @property
+    def supremum(self) -> LogReal:
+        return LogReal(1, max(self.values_log2))
 
-def _report_from_scan(grid, logs, trend, aux=None) -> RatioReport:
-    i_min = logs.index(min(logs))
-    i_max = logs.index(max(logs))
-    values = [LogReal(1, v) for v in logs]
-    return RatioReport(
-        grid=list(grid),
-        values=values,
-        infimum=values[i_min],
-        supremum=values[i_max],
-        arg_inf=grid[i_min],
-        arg_sup=grid[i_max],
-        trend=trend,
-        aux=aux or {},
-    )
+    @property
+    def arg_inf(self) -> tuple[float, ...]:
+        return self.grid[self.values_log2.index(min(self.values_log2))]
+
+    @property
+    def arg_sup(self) -> tuple[float, ...]:
+        return self.grid[self.values_log2.index(max(self.values_log2))]
 
 
 def _ratio_scan(M: DyadicOrliczFunction, logK: float, t_max: LogReal, depth: int) -> RatioReport:
@@ -357,8 +347,7 @@ def _ratio_scan(M: DyadicOrliczFunction, logK: float, t_max: LogReal, depth: int
     if -float(n0) < u_top:
         # t_max is not a breakpoint
         ratio[u_top] = M.eval_log2(u_top + logK) - M.eval_log2(u_top)
-    M._ensure_depth(n_end + 1)
-    logM = M._logM
+    _, logM = M.segment_tables(n_end + 1)
     # at K = 2^m the breakpoints of M(Kt) are M's own and M(Kt) reads the table
     m = int(logK) if logK.is_integer() else None
     # t = 2^(-n), the breakpoints of M(t)
@@ -374,8 +363,8 @@ def _ratio_scan(M: DyadicOrliczFunction, logK: float, t_max: LogReal, depth: int
             if -n_end <= u < u_top and u not in ratio:
                 ratio[u] = logM[j] - M.eval_log2(u)
     grid = sorted(ratio, reverse=True)
-    return _report_from_scan([(u,) for u in grid], [ratio[u] for u in grid],
-                             classify_tail(at_breakpoints))
+    return RatioReport([(u,) for u in grid], [ratio[u] for u in grid],
+                       classify_tail(at_breakpoints))
 
 
 def ratio_inf(M: DyadicOrliczFunction, m: int, t_max: LogReal, depth: int = 64) -> RatioReport:
@@ -416,36 +405,41 @@ def compute_cq(
     """Grid supremum of M(2^(-m-n)) / M(2^(-n)) * 2^(mq).
 
     Also reports the slope-side bound 2 * sup b(m+n)/b(n) * 2^((q-1)m) over
-    the same grid; the trend flag says whether the grid supremum was attained
-    away from the expanding edges.
+    the same grid.  The trend is 'bounded' when the grid supremum is attained
+    away from the expanding edges and the doubled grid [1, 2 m_max] x
+    [1, 2 n_max] does not raise it by more than _TREND_BAND; otherwise it is
+    'inconclusive'.
     """
     if q < 1.0:
         raise ValueError(f"exponent q must be >= 1, got {q}")
     if m_max < 1 or n_max < 1:
         raise ValueError("grid ranges must be >= 1")
-    M._ensure_depth(m_max + n_max + 1)
+    logb, logM = M.segment_tables(m_max + n_max + 1)
     grid: list[tuple[float, ...]] = []
     logs: list[float] = []
     slope_best = -math.inf
     slope_arg = (0, 0)
     for mm in range(1, m_max + 1):
         for nn in range(1, n_max + 1):
-            v = M._logM[mm + nn] - M._logM[nn] + mm * q
             grid.append((float(mm), float(nn)))
-            logs.append(v)
-            s = M._logb[mm + nn] - M._logb[nn] + mm * (q - 1.0)
+            logs.append(logM[mm + nn] - logM[nn] + mm * q)
+            s = logb[mm + nn] - logb[nn] + mm * (q - 1.0)
             if s > slope_best:
                 slope_best = s
                 slope_arg = (mm, nn)
-    i_max = max(range(len(logs)), key=lambda i: logs[i])
-    am, an = grid[i_max]
-    interior = am <= m_max - 1 and an <= n_max - 1
-    trend = TREND_BOUNDED if interior else TREND_INCONCLUSIVE
-    aux = {
+    report = RatioReport(grid, logs, TREND_INCONCLUSIVE, {
         "slope_bound_log2": 1.0 + slope_best,
         "slope_bound_arg": slope_arg,
-    }
-    return _report_from_scan(grid, logs, trend, aux=aux)
+    })
+    am, an = report.arg_sup
+    if am <= m_max - 1 and an <= n_max - 1:
+        _, wide_logM = M.segment_tables(2 * (m_max + n_max))
+        cols = wide_logM[1:2 * n_max + 1]
+        wide = max(max(map(operator.sub, wide_logM[mm + 1:mm + 2 * n_max + 1], cols)) + mm * q
+                   for mm in range(1, 2 * m_max + 1))
+        if wide <= max(logs) + _TREND_BAND:
+            report.trend = TREND_BOUNDED
+    return report
 
 
 # -- plain-text function specs -----------------------------------------------

@@ -21,7 +21,7 @@ from itertools import accumulate
 from typing import Callable
 
 from .logreal import LogReal, ZERO
-from .orlicz import DyadicOrliczFunction, ratio_inf
+from .orlicz import TREND_INCONCLUSIVE, DyadicOrliczFunction, RatioReport, ratio_inf
 from .vectors import FiniteVector, _prefix_norms_log2
 
 # slack used when locating maxima / attainment among norm values that each
@@ -57,8 +57,9 @@ class EtaSequence:
         self.description = description
         self.validated = validated
         self._lock = threading.Lock()
-        self._checked_upto = 0
-        self._last_checked = math.inf
+        # log2 eta_k at index k; index 0 is the +inf that eta_1 must lie below.
+        # The list is replaced, never mutated, so readers need no lock.
+        self._table = [math.inf]
 
     def __call__(self, k: int) -> float:
         return 2.0 ** self.log2(k)
@@ -66,25 +67,32 @@ class EtaSequence:
     def log2(self, k: int) -> float:
         if k < 1:
             raise IndexError(f"eta index must be >= 1, got {k}")
-        return self._log2_fn(k)
+        return self.ensure_valid(k + 1)[k]
 
-    def ensure_valid(self, upto: int) -> None:
-        """Lazily extend the strict-decrease check; idempotent and thread-safe."""
-        if not self.validated or upto <= self._checked_upto:
-            return
+    def ensure_valid(self, upto: int) -> list[float]:
+        """Tabulate log2 eta_k through k = upto, checking that a validated rule
+        stays above 1 and strictly decreases, and return the shared table
+        (read it, do not mutate it); idempotent and thread-safe."""
+        table = self._table
+        if upto < len(table):
+            return table
         with self._lock:
-            prev = self._last_checked
-            for k in range(self._checked_upto + 1, upto + 1):
+            table = self._table
+            prev = table[-1]
+            ext = []
+            for k in range(len(table), upto + 1):
                 v = self._log2_fn(k)
-                if not v > 0.0:
-                    raise EtaInfeasibleError(k, v, f"eta_{k} = 2^{v} is not > 1")
-                if not v < prev:
-                    raise EtaInfeasibleError(
-                        k, v, f"log2 eta_{k} = {v} does not strictly decrease from {prev}"
-                    )
+                if self.validated:
+                    if not v > 0.0:
+                        raise EtaInfeasibleError(k, v, f"eta_{k} = 2^{v} is not > 1")
+                    if not v < prev:
+                        raise EtaInfeasibleError(
+                            k, v, f"log2 eta_{k} = {v} does not strictly decrease from {prev}"
+                        )
+                ext.append(v)
                 prev = v
-            self._checked_upto = upto
-            self._last_checked = prev
+            self._table = table + ext
+            return self._table
 
     @staticmethod
     def one_plus_pow2() -> "EtaSequence":
@@ -154,29 +162,16 @@ def build_eta(bk: Callable[[int], LogReal], k_max: int) -> EtaSequence:
     return EtaSequence(log2_fn, f"suffix-max floors, k_max={k_max}", validated=True)
 
 
-@dataclass
-class BkValue:
-    """A computed infimum of M(2^m t)/M(t) with its scan verdict."""
-
-    value: LogReal
-    trend: str
-    t_max: LogReal
-
-    @property
-    def conclusive(self) -> bool:
-        return self.trend != "inconclusive"
-
-
-def compute_bk(M: DyadicOrliczFunction, m: int, k: int) -> BkValue:
-    """b_k = inf of M(2^m t)/M(t) over 0 < t <= M^(-1)(1/k)."""
+def compute_bk(M: DyadicOrliczFunction, m: int, k: int) -> RatioReport:
+    """b_k = inf of M(2^m t)/M(t) over 0 < t <= M^(-1)(1/k): the infimum of
+    the returned scan, whose grid[0] is log2 of that t-bound."""
     if k < 1:
         raise ValueError(f"index k must be >= 1, got {k}")
     t_max = LogReal.from_log2(M.inverse_log2(-math.log2(k)))
-    report = ratio_inf(M, m, t_max, depth=_BK_SCAN_DEPTH)
-    return BkValue(report.infimum, report.trend, t_max)
+    return ratio_inf(M, m, t_max, depth=_BK_SCAN_DEPTH)
 
 
-def compute_bk_at_scale(M: DyadicOrliczFunction, m: int, k: int) -> BkValue:
+def compute_bk_at_scale(M: DyadicOrliczFunction, m: int, k: int) -> RatioReport:
     """Scale-indexed variant: the k-th infimum is taken over 0 < t <= 2^(-k).
 
     The t-range shrinks geometrically with k instead of through M^(-1)(1/k),
@@ -185,9 +180,7 @@ def compute_bk_at_scale(M: DyadicOrliczFunction, m: int, k: int) -> BkValue:
     """
     if k < 1:
         raise ValueError(f"index k must be >= 1, got {k}")
-    t_max = LogReal.two_pow(-float(k))
-    report = ratio_inf(M, m, t_max, depth=_BK_SCAN_DEPTH)
-    return BkValue(report.infimum, report.trend, t_max)
+    return ratio_inf(M, m, LogReal.two_pow(-float(k)), depth=_BK_SCAN_DEPTH)
 
 
 @dataclass
@@ -220,9 +213,9 @@ def build_renorm_scheme(M: DyadicOrliczFunction, m: int, k_max: int) -> RenormSc
     table: dict[int, LogReal] = {}
     inconclusive: list[int] = []
     for k in range(1, k_max + 2):
-        bv = compute_bk_at_scale(M, m, k)
-        table[k] = bv.value
-        if not bv.conclusive:
+        report = compute_bk_at_scale(M, m, k)
+        table[k] = report.infimum
+        if report.trend == TREND_INCONCLUSIVE:
             inconclusive.append(k)
     eta = build_eta(lambda k: table[k], k_max)
     return RenormScheme(
@@ -239,8 +232,8 @@ def _triple_norm_log2(
     n = len(sorted_log2)
     if n == 0:
         return -math.inf, 0
-    eta.ensure_valid(n + 1)
-    vals = [eta.log2(k) + h for k, h in enumerate(_prefix_norms_log2(M, sorted_log2), start=1)]
+    eta_log2 = eta.ensure_valid(n + 1)
+    vals = [eta_log2[k] + h for k, h in enumerate(_prefix_norms_log2(M, sorted_log2), start=1)]
     best = max(vals)
     attaining = next(k for k, v in enumerate(vals, start=1) if v >= best - _TIE_SLACK_LOG2)
     return best, attaining
@@ -320,11 +313,11 @@ def growth_index(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector) -> 
         if v.log2mag > prev:
             raise ValueError(f"coordinates must be nonincreasing, violated at index {i}")
         prev = v.log2mag
-    eta.ensure_valid(n + 1)
+    eta_log2 = eta.ensure_valid(n + 1)
     head_norms = _prefix_norms_log2(M, x.sorted_log2_magnitudes())
     full = head_norms[-1]
     for k in range(1, n + 1):
-        if eta.log2(k) + head_norms[k - 1] >= full - _TIE_SLACK_LOG2:
+        if eta_log2[k] + head_norms[k - 1] >= full - _TIE_SLACK_LOG2:
             return k
     raise AssertionError("growth index must exist at k = N")
 

@@ -133,8 +133,8 @@ def test_c04_bk_and_eta_feasibility(squares, ident, squares_scheme):
     monotone = True
     for k in list(range(1, 41)) + [100, 1000, 10**4, 10**5, 10**6]:
         bv = compute_bk(squares, 1, k)
-        monotone = monotone and bv.value.log2mag >= prev - 1e-12
-        prev = bv.value.log2mag
+        monotone = monotone and bv.infimum.log2mag >= prev - 1e-12
+        prev = bv.infimum.log2mag
     eta = squares_scheme.eta
     decreasing = all(eta.log2(k + 1) < eta.log2(k) for k in range(1, 52))
     above_floor = True

@@ -64,6 +64,12 @@ class TestAdd:
         assert diff.sign == 1
         assert diff.to_float() == pytest.approx(1e-12, rel=1e-3)
 
+    def test_cancellation_at_a_tie(self):
+        # the magnitudes differ by 1e-17 in log2, so 2^(b - a) rounds to 1.0
+        diff = LogReal(1, 1e-17) - LogReal(1, 0.0)
+        assert diff.sign == 1
+        assert diff.log2mag == pytest.approx(math.log2(1e-17 * math.log(2.0)), abs=1e-12)
+
     def test_no_overflow_at_extreme_exponents(self):
         big = LogReal.two_pow(1_000_000)
         tiny = LogReal.two_pow(-1_000_000)

@@ -9,6 +9,7 @@ import pytest
 
 from orliczlab import (
     LogReal,
+    RatioReport,
     SlopeSequenceError,
     ZERO,
     compute_cq,
@@ -200,7 +201,7 @@ class TestRatioInf:
             ratio_inf(squares, 2, LogReal.from_float(0.3), depth=20),
             ratio_inf(squares, 1, LogReal.two_pow(-3), depth=20),
         ):
-            vals = [v.log2mag for v in rep.values]
+            vals = rep.values_log2
             assert rep.infimum.log2mag == min(vals)
             assert rep.supremum.log2mag == max(vals)
 
@@ -261,7 +262,7 @@ class TestRatioInf:
                     exact = ratio_inf(M, m, t_max, depth=12)
                     general = ratio_inf_general(M, 2.0**m, t_max, depth=12)
                     assert general.grid == exact.grid
-                    assert [v.log2mag for v in general.values] == [v.log2mag for v in exact.values]
+                    assert general.values_log2 == exact.values_log2
                     assert general.trend == exact.trend
                     assert general.arg_inf == exact.arg_inf
 
@@ -337,6 +338,35 @@ class TestComputeCq:
         rep = compute_cq(ident, 2.0, 6, 6)
         assert rep.trend == "inconclusive"
         assert rep.arg_sup[0] == 6.0
+
+
+    def test_growing_supremum_is_not_bounded(self):
+        # q = 8 lies above the counterexample's weighted-ratio growth: the
+        # supremum keeps rising with the grid side although its argmax sits
+        # inside each grid; at q = 3 it is the same from side 20 on
+        M = gen_sequences(200).make_function()
+        rep = compute_cq(M, 8.0, 20, 20)
+        am, an = rep.arg_sup
+        assert am < 20 and an < 20
+        assert rep.trend == "inconclusive"
+        assert compute_cq(M, 8.0, 40, 40).supremum.log2mag > rep.supremum.log2mag + 1.0
+        for side in (20, 40):
+            rep = compute_cq(M, 3.0, side, side)
+            assert rep.trend == "bounded"
+            assert rep.supremum.log2mag == pytest.approx(5.464337929409, abs=1e-9)
+
+
+class TestRatioReport:
+    def test_extrema_derived_from_values_with_first_tie(self):
+        rep = RatioReport(
+            grid=[(0.0,), (-1.0,), (-2.0,), (-3.0,), (-4.0,)],
+            values_log2=[2.0, 1.0, 3.0, 1.0, 3.0],
+            trend="inconclusive",
+        )
+        assert rep.infimum == LogReal(1, 1.0)
+        assert rep.supremum == LogReal(1, 3.0)
+        assert rep.arg_inf == (-1.0,)
+        assert rep.arg_sup == (-2.0,)
 
 
 class TestFunctionSpecs:

@@ -52,19 +52,19 @@ class TestComputeBk:
     def test_identity_k4(self, ident):
         # M^(-1)(1/4) = 1/4 sits in the region where the doubling ratio is 2
         bv = compute_bk(ident, 1, 4)
-        assert bv.value.to_float() == pytest.approx(2.0, rel=1e-12)
-        assert bv.conclusive
+        assert bv.infimum.to_float() == pytest.approx(2.0, rel=1e-12)
+        assert bv.trend != "inconclusive"
 
     def test_geometric_large_k(self, geom):
         bv = compute_bk(geom, 1, 1000)
-        assert bv.value.to_float() == pytest.approx(4.0, rel=1e-12)
+        assert bv.infimum.to_float() == pytest.approx(4.0, rel=1e-12)
 
     def test_nondecreasing_in_k(self, squares):
         prev = -math.inf
         for k in (1, 2, 4, 8, 16, 64, 256, 4096, 10**6):
             bv = compute_bk(squares, 1, k)
-            assert bv.value.log2mag >= prev - 1e-12
-            prev = bv.value.log2mag
+            assert bv.infimum.log2mag >= prev - 1e-12
+            prev = bv.infimum.log2mag
 
     def test_scale_indexed_matches_dyadic_ratios(self, squares):
         # for this fixture the k-th dyadic-scale infimum is the breakpoint
@@ -78,7 +78,7 @@ class TestComputeBk:
             bv = compute_bk_at_scale(squares, 1, k)
             with mp.workdps(60):
                 want = float(mp.log(bp(k - 1) / bp(k), 2))
-            assert bv.value.log2mag == pytest.approx(want, abs=1e-10)
+            assert bv.infimum.log2mag == pytest.approx(want, abs=1e-10)
 
     def test_validation(self, squares):
         with pytest.raises(ValueError):
@@ -118,7 +118,7 @@ class TestBuildEta:
         eta = EtaSequence.unchecked(lambda k: 1.0 + 1.0 / k, "harmonic")
         assert not eta.validated
         assert eta(10) == pytest.approx(1.1)
-        eta.ensure_valid(100)  # no-op by contract
+        eta.ensure_valid(100)  # tabulates only: an unchecked rule never raises
 
     def test_lazy_revalidation_concurrent(self):
         import threading
@@ -148,6 +148,36 @@ class TestBuildEta:
         for k in range(1, 26):
             assert eta.log2(k) < prev
             prev = eta.log2(k)
+
+
+class TestEtaTable:
+    def test_rule_runs_once_per_index(self, squares):
+        from collections import Counter
+
+        calls = Counter()
+
+        def rule(k):
+            calls[k] += 1
+            return math.log2(1.0 + 2.0 ** -k)
+
+        eta = EtaSequence(rule, "counted 1+2^-k", validated=True)
+        x = FiniteVector.from_floats([0.5, -0.3, 0.2, 0.1, 0.05])
+        for _ in range(3):
+            triple_norm(squares, eta, x)
+        growth_index(squares, eta, FiniteVector.from_floats([0.5, 0.3, 0.2, 0.1, 0.05]))
+        assert dict(calls) == {k: 1 for k in range(1, 7)}
+
+    def test_reading_eta_k_checks_the_next_index(self, squares):
+        logs = {1: 1.0, 2: 0.5, 3: 0.75}   # eta_3 > eta_2
+        eta = EtaSequence(logs.__getitem__, "rises at 3", validated=True)
+        assert eta.log2(1) == 1.0
+        with pytest.raises(EtaInfeasibleError) as err:
+            eta.log2(2)
+        assert err.value.k == 3
+        eta = EtaSequence(logs.__getitem__, "rises at 3", validated=True)
+        with pytest.raises(EtaInfeasibleError):
+            # a support of 2 reads eta through index 3 before it scans
+            growth_index(squares, eta, FiniteVector.from_floats([0.5, 0.5]))
 
 
 class TestRenormScheme:
