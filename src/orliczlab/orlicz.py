@@ -12,6 +12,7 @@ with at-most-once insertion and are safe for concurrent readers.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 import threading
@@ -236,16 +237,19 @@ class DyadicOrliczFunction:
             # single ray of slope b(0) above t = 1/2
             diff = log2_sub(ylog, self._logM[1])
             return log2_add(-1.0, diff - self._logb[0])
-        n = 1
+        # grow the table a block at a time until it holds a breakpoint value
+        # below ylog, then bisect the decreasing table for the first such n + 1
+        depth = 8
         while True:
-            self._ensure_depth(n + 2)
-            if self._logM[n + 1] < ylog:
+            logb, logM = self.segment_tables(depth)
+            if logM[depth] < ylog:
                 break
-            n += 1
-            if n > _MAX_TABLE_DEPTH:
+            if depth >= _MAX_TABLE_DEPTH:
                 raise ValueError("inverse argument below the supported scale")
-        diff = log2_sub(ylog, self._logM[n + 1])
-        return log2_add(-(n + 1.0), diff - self._logb[n])
+            depth = min(2 * depth, _MAX_TABLE_DEPTH)
+        n = bisect.bisect_right(logM, -ylog, lo=2, hi=depth + 1, key=operator.neg) - 1
+        diff = log2_sub(ylog, logM[n + 1])
+        return log2_add(-(n + 1.0), diff - logb[n])
 
     def inverse(self, y: LogReal) -> LogReal:
         """The t >= 0 with M(t) = y; exact on the located linear segment."""

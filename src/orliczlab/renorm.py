@@ -226,14 +226,21 @@ def build_renorm_scheme(M: DyadicOrliczFunction, m: int, k_max: int) -> RenormSc
 # -- the renormed value ------------------------------------------------------
 
 
+def _head_values_log2(
+    M: DyadicOrliczFunction, eta: EtaSequence, sorted_log2: list[float]
+) -> list[float]:
+    """log2 eta_k + log2 ||(x*_1..x*_k)|| for every head k of a nonincreasing
+    magnitude list, from one prefix walk."""
+    eta_log2 = eta.ensure_valid(len(sorted_log2) + 1)
+    return [eta_log2[k] + h for k, h in enumerate(_prefix_norms_log2(M, sorted_log2), start=1)]
+
+
 def _triple_norm_log2(
     M: DyadicOrliczFunction, eta: EtaSequence, sorted_log2: list[float]
 ) -> tuple[float, int]:
-    n = len(sorted_log2)
-    if n == 0:
+    if not sorted_log2:
         return -math.inf, 0
-    eta_log2 = eta.ensure_valid(n + 1)
-    vals = [eta_log2[k] + h for k, h in enumerate(_prefix_norms_log2(M, sorted_log2), start=1)]
+    vals = _head_values_log2(M, eta, sorted_log2)
     best = max(vals)
     attaining = next(k for k, v in enumerate(vals, start=1) if v >= best - _TIE_SLACK_LOG2)
     return best, attaining
@@ -264,37 +271,49 @@ def head_attainment_index(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVe
 def _head_attainment_search(
     M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector
 ) -> tuple[int, list[tuple[int, float]]]:
-    """Attainment index plus the (m, value) pairs probed on the way.
+    """Attainment index plus the (m, value) pair of every truncation walked,
+    the full vector first.
 
-    The truncation value is nondecreasing in m, so the smallest attaining m is
-    found by bisection over the support indices; between support indices the
-    truncation does not change.
+    Order the support positions by magnitude, ties to the smaller position;
+    the top k of a truncation are then its first k positions in that order.
+    One walk over x gives its head values vals[k]; let A be the heads within
+    the slack of the target max(vals), and k0 the smallest of them.  The
+    candidate c is the largest position among the top k0.
+
+    The candidate needs no walk: its truncation holds x's top k0, so its
+    sorted magnitudes start with x's first k0, its first k0 head values are
+    the same bits (the walk over a prefix depends on that prefix alone), and
+    head k0 reaches the target.  No position left of c holds x's top k for
+    any k in A, since the largest position among the top k grows with k.
+
+    The confirm probe walks the truncation at c - 1.  If it falls short, so
+    does every smaller truncation (the value is nondecreasing in m) and c is
+    the answer.  If it reaches the target, it becomes the vector and the same
+    rule runs on its head values; its candidate lies left of c, so the
+    repeat ends by position 0.  Between support indices the truncation does
+    not change, so the answer is a support index.
     """
     if x.is_zero:
         return 0, []
-    target, _ = _triple_norm_log2(M, eta, x.sorted_log2_magnitudes())
-    slack = _TIE_SLACK_LOG2 + abs(target) * 1e-12
     coords = x.coords  # in index order
     support = list(coords)
     log2_mags = [v.log2mag for v in coords.values()]
-    probes: list[tuple[int, float]] = []
-
-    def value_at(pos: int) -> float:
-        # the sorted magnitudes of x.head(support[pos])
-        v, _ = _triple_norm_log2(M, eta, sorted(log2_mags[: pos + 1], reverse=True))
-        probes.append((support[pos], v))
-        return v
-
-    lo, hi = 0, len(support) - 1
-    if value_at(lo) >= target - slack:
-        return support[0], probes
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if value_at(mid) >= target - slack:
-            hi = mid
-        else:
-            lo = mid
-    return support[hi], probes
+    # a stable sort keeps tied magnitudes in position order
+    order = sorted(range(len(support)), key=log2_mags.__getitem__, reverse=True)
+    vals = _head_values_log2(M, eta, [log2_mags[p] for p in order])
+    target = max(vals)
+    slack = _TIE_SLACK_LOG2 + abs(target) * 1e-12
+    probes = [(support[-1], target)]
+    while True:
+        k0 = next(k for k, v in enumerate(vals, start=1) if v >= target - slack)
+        c = max(order[:k0])
+        if c == 0:
+            return support[0], probes
+        order = [p for p in order if p < c]
+        vals = _head_values_log2(M, eta, [log2_mags[p] for p in order])
+        probes.append((support[c - 1], max(vals)))
+        if probes[-1][1] < target - slack:
+            return support[c], probes
 
 
 def growth_index(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector) -> int:

@@ -132,8 +132,9 @@ class FiniteVector:
 
 def rearrange(x: FiniteVector) -> FiniteVector:
     """Decreasing rearrangement of the magnitudes, packed into indices 1..N."""
-    vals = sorted((abs(v) for v in x.coords.values()), reverse=True)
-    return FiniteVector({i: v for i, v in enumerate(vals, start=1)})
+    return FiniteVector(
+        {i: LogReal(1, v) for i, v in enumerate(x.sorted_log2_magnitudes(), start=1)}
+    )
 
 
 def modular(M: DyadicOrliczFunction, x: FiniteVector, rho: LogReal) -> LogReal:

@@ -24,6 +24,8 @@ from orliczlab import (
     slopes_pow2_poly,
     squares_slopes,
 )
+from orliczlab import orlicz as orlicz_mod
+from orliczlab.logreal import log2_add, log2_sub
 
 MP_DPS = 60
 
@@ -174,6 +176,46 @@ class TestInvariants:
             v = squares.eval_log2(u)
             assert v > prev
             prev = v
+
+
+def linear_scan_inverse_log2(M, ylog):
+    """Reference M^(-1): step n up one breakpoint at a time until
+    M(2^(-n-1)) < 2^ylog, then solve on segment n."""
+    if ylog == -math.inf:
+        return -math.inf
+    logb, logM = M.segment_tables(8)
+    if ylog >= logM[1]:
+        return log2_add(-1.0, log2_sub(ylog, logM[1]) - logb[0])
+    n = 1
+    while True:
+        logb, logM = M.segment_tables(n + 2)
+        if logM[n + 1] < ylog:
+            break
+        n += 1
+    return log2_add(-(n + 1.0), log2_sub(ylog, logM[n + 1]) - logb[n])
+
+
+class TestInverseBisection:
+    @pytest.mark.parametrize("make", [identity_slopes, geometric_slopes, squares_slopes])
+    def test_matches_linear_scan_bits(self, make):
+        # one gauge for the reference builds its tables first, one is fresh,
+        # so the bisection also runs while it grows the tables
+        ref_M, M = make_dyadic_plf(make()), make_dyadic_plf(make())
+        _, logM = ref_M.segment_tables(201)
+        points = [logM[n] for n in range(201)]
+        points += [log2_add(logM[n], logM[n + 1]) - 1.0 for n in range(200)]
+        points += [2.0, 0.5, -math.inf]
+        random.Random(make.__name__).shuffle(points)
+        for ylog in points:
+            assert M.inverse_log2(ylog) == linear_scan_inverse_log2(ref_M, ylog)
+
+    def test_below_table_cap_raises(self, ident, monkeypatch):
+        M = make_dyadic_plf(identity_slopes())
+        monkeypatch.setattr(orlicz_mod, "_MAX_TABLE_DEPTH", 16)
+        # M(2^-16) = 2^-16 is the deepest breakpoint the capped table holds
+        assert M.inverse_log2(-15.5) == ident.inverse_log2(-15.5)
+        with pytest.raises(ValueError, match="below the supported scale"):
+            M.inverse_log2(-20.0)
 
 
 class TestRatioInf:

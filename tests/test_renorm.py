@@ -24,6 +24,7 @@ from orliczlab import (
     rearrange,
     triple_norm,
 )
+from orliczlab import renorm as renorm_mod
 from orliczlab.renorm import parse_scheme
 from orliczlab import squares_slopes
 
@@ -348,6 +349,101 @@ class TestHeadAttainment:
                 v, _ = triple_norm(squares, eta_pow2, x.head(k))
                 assert v.log2mag >= prev - 1e-10
                 prev = v.log2mag
+
+
+def ref_head_attainment_search(M, eta, x):
+    """Reference attainment index: bisection over the support indices, with
+    every probe a fresh triple norm of the truncation."""
+    target, _ = renorm_mod._triple_norm_log2(M, eta, x.sorted_log2_magnitudes())
+    slack = renorm_mod._TIE_SLACK_LOG2 + abs(target) * 1e-12
+    support = list(x.coords)
+    log2_mags = [v.log2mag for v in x.coords.values()]
+
+    def reaches(pos):
+        v, _ = renorm_mod._triple_norm_log2(M, eta, sorted(log2_mags[: pos + 1], reverse=True))
+        return v >= target - slack
+
+    lo, hi = 0, len(support) - 1
+    if reaches(lo):
+        return support[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return support[hi]
+
+
+def attainment_vectors(rng, count):
+    """Supports of 1..50 coordinates, contiguous or gapped, with uniform,
+    integer (tied) or all-equal log2 magnitudes."""
+    for _ in range(count):
+        n = rng.choice((1, 1, 2, 3)) if rng.random() < 0.15 else rng.randint(1, 50)
+        if rng.random() < 0.5:
+            indices = range(1, n + 1)
+        else:
+            indices = sorted(rng.sample(range(1, 3 * n + 1), n))
+        kind = rng.randrange(3)
+        if kind == 0:
+            mags = [rng.uniform(-40.0, 3.0) for _ in indices]
+        elif kind == 1:
+            mags = [float(rng.randint(-12, 2)) for _ in indices]
+        else:
+            mags = [float(rng.randint(-20, 2))] * n
+        yield FiniteVector(
+            {i: LogReal(rng.choice((-1, 1)), e) for i, e in zip(indices, mags)}
+        )
+
+
+class TestAttainmentAgainstBisection:
+    @pytest.mark.parametrize("gauge", ["squares", "geometric"])
+    def test_same_index_in_at_most_two_walks(self, gauge, monkeypatch):
+        if gauge == "squares":
+            M = make_dyadic_plf(squares_slopes())
+            eta = build_renorm_scheme(M, 1, 52).eta
+        else:
+            M = make_dyadic_plf(geometric_slopes())
+            eta = EtaSequence.one_plus_pow2()
+        walks = []
+        walk = renorm_mod._prefix_norms_log2
+
+        def counted(M, sorted_log2):
+            walks.append(len(sorted_log2))
+            return walk(M, sorted_log2)
+
+        rng = random.Random(f"attain-{gauge}")
+        most = 0
+        for x in attainment_vectors(rng, 2000):
+            want = ref_head_attainment_search(M, eta, x)
+            walks.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(renorm_mod, "_prefix_norms_log2", counted)
+                got = head_attainment_index(M, eta, x)
+            assert got == want, x
+            most = max(most, len(walks))
+        assert most <= 2
+
+    def test_probe_that_reaches_the_target_repeats_the_rule(self, ident):
+        # with a flat eta on l1, coordinates below the tie slack leave the
+        # value unchanged, so a truncation without the candidate can still
+        # reach the target
+        flat = EtaSequence.unchecked(lambda k: 1.0, "flat")
+        x = FiniteVector({1: LogReal(1, 0.0), 2: LogReal(1, -38.0), 3: LogReal(1, -37.5)})
+        m, probes = renorm_mod._head_attainment_search(ident, flat, x)
+        assert m == 2 == ref_head_attainment_search(ident, flat, x)
+        assert [j for j, _ in probes] == [3, 2, 1]
+        rng = random.Random(5)
+        repeats = 0
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            x = FiniteVector(
+                {i: LogReal(1, 0.0 if i == 1 else rng.uniform(-42.0, -34.0)) for i in range(1, n + 1)}
+            )
+            m, probes = renorm_mod._head_attainment_search(ident, flat, x)
+            assert m == ref_head_attainment_search(ident, flat, x), x
+            repeats += len(probes) > 2
+        assert repeats > 0
 
 
 class TestGrowthIndex:
