@@ -14,12 +14,13 @@ Every pairing <P_j x, w> goes through SectionFunctional.pair_floats: the
 coordinates 1..j of x are framed once per call as floats relative to 2^top,
 top their largest log2 magnitude, and one LogReal is built from the result.
 
-Norming sets are built from an angular direction net: each direction is
-normed once and contributes a finite-difference supporting functional g of
-the section norm, rescaled into the dual ball as witnessed on the net and the
-validation samples; -g shares g's scale.  The two-sided sandwich is validated
-on the seeded sample grid (a finite certificate, not a proof).  The
-dimension cap of 3 keeps every net small enough to check in seconds.
+Norming sets are built from an angular direction net: each direction u is
+normed once and, unless a functional kept so far already attains the norm at
+u, contributes a finite-difference supporting functional g of the section
+norm, rescaled into the dual ball as witnessed on the net and the validation
+samples; -g shares g's scale.  The two-sided sandwich is validated on the
+seeded sample grid (a finite certificate, not a proof).  The dimension cap of
+3 and a cap on the net size keep every net small enough to check in seconds.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Sequence
 
 from .logreal import LogReal, Tolerance, ZERO
@@ -40,6 +42,12 @@ _MAX_SECTION_DIM = 3
 # central-difference step of its supporting functionals
 _MAX_REFINEMENTS = 6
 _FD_STEP_REL = 1e-7
+# relative slack of the sandwich's lower side, and of "w attains the norm at
+# u", below which finite-difference noise is not told apart from a gap
+_ATTAIN_SLACK = 1e-9
+# largest direction net build_norming_family builds; c09's dim-3 nets have
+# 86-114 directions
+_MAX_NET_DIRECTIONS = 2048
 
 
 @dataclass(frozen=True)
@@ -63,8 +71,8 @@ class SectionFunctional:
         return _unframed(self.pair_floats(coords), top)
 
     def pair_floats(self, coords: Sequence[float]) -> float:
-        j = min(len(coords), self.level)
-        return self.scale * sum(self.coefficients[i] * coords[i] for i in range(j))
+        # map stops at the shorter of coefficients and coords
+        return self.scale * sum(map(mul, self.coefficients, coords))
 
 
 def _framed(x: FiniteVector, j: int) -> tuple[float, list[float]]:
@@ -196,6 +204,13 @@ def _directions(dim: int, count: int) -> list[tuple[float, ...]]:
     return out
 
 
+def _net_size(dim: int, count: int) -> int:
+    """len(_directions(dim, count)) for dim 2 and 3, without building the net."""
+    if dim == 2:
+        return count
+    return 2 + (max(3, count // 2) - 1) * count
+
+
 def _norm_float(oracle: NormOracle, coords: Sequence[float]) -> float:
     return oracle(FiniteVector.from_floats(coords)).to_float()
 
@@ -228,14 +243,26 @@ def build_norming_family(
 ) -> list[SectionFunctional]:
     """Finite W with (1+eps)^(-1) ||x|| <= max_W |w(x)| <= ||x|| on the section.
 
-    Directions on an angular net each contribute a finite-difference
-    supporting functional, deduplicated and rescaled into the dual ball; the
-    net is refined until the sandwich holds on a seeded validation sample.
+    Directions u on an angular net, in net order, each contribute a
+    finite-difference supporting functional unless a functional kept so far
+    already has |w(u)| >= 1 - 1e-9 at the normalised u; the kept functionals
+    are deduplicated and rescaled into the dual ball as witnessed on the net
+    and the validation samples.  A skipped u is one of those witnesses, so the
+    kept w already supports the section there, and the skip keeps both sides
+    of the sandwich: the upper side holds for every kept w, and the lower side
+    is decided by the validation.  The net is refined until the sandwich holds
+    on a seeded validation sample.
+
+    No net above 2048 directions is built: an eps whose first net exceeds it
+    (below about 2.35e-6 in dim 2 and 2.34e-3 in dim 3) raises ValueError, and
+    refinement stops before the cap with the "could not reach" ValueError.
     """
     if dim < 1 or dim > _MAX_SECTION_DIM:
         raise ValueError(f"section dimension must be 1..{_MAX_SECTION_DIM}, got {dim}")
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
+    if validation_samples < 0:
+        raise ValueError(f"validation_samples must be >= 0, got {validation_samples}")
 
     for i in range(dim):
         unit = [0.0] * dim
@@ -248,14 +275,25 @@ def build_norming_family(
         n1 = _norm_float(norm_oracle, [1.0])
         return [SectionFunctional(1, (n1,)), SectionFunctional(1, (-n1,))]
 
-    rng = random.Random(seed)
-    samples = _sample_points(dim, validation_samples, rng)
-    sample_norms = [_norm_float(norm_oracle, p) for p in samples]
     # initial angular resolution from the euclidean support-function bound
     # 1/cos(theta/2) - 1 <= eps/2, then refine on validation failure
     theta = 2.0 * math.acos(1.0 / (1.0 + min(eps, 1.0) / 2.0))
-    count = max(6, int(math.ceil(2.0 * math.pi / theta)))
+    if theta > 0.0:
+        count = max(6, int(math.ceil(2.0 * math.pi / theta)))
+        size = _net_size(dim, count)
+    else:  # 1 + eps/2 rounds to 1
+        size = math.inf
+    if size > _MAX_NET_DIRECTIONS:
+        raise ValueError(
+            f"eps = {eps} needs a first net of {size} directions in dimension {dim}, "
+            f"beyond the cap of {_MAX_NET_DIRECTIONS}"
+        )
+
+    rng = random.Random(seed)
+    samples = _sample_points(dim, validation_samples, rng)
+    sample_norms = [_norm_float(norm_oracle, p) for p in samples]
     lower = 1.0 / (1.0 + eps)
+    bounds = [lower * n * (1.0 - _ATTAIN_SLACK) for n in sample_norms]
 
     for _ in range(_MAX_REFINEMENTS):
         net = _directions(dim, count)
@@ -270,7 +308,10 @@ def build_norming_family(
         seen: set[tuple[float, ...]] = set()
         for d, nd in zip(net, net_norms):
             # a point on the unit sphere of the section norm
-            g = _subgradient(norm_oracle, [c / nd for c in d])
+            u = [c / nd for c in d]
+            if any(abs(w.pair_floats(u)) >= 1.0 - _ATTAIN_SLACK for w in funcs):
+                continue
+            g = _subgradient(norm_oracle, u)
             scale = None
             for vec in (tuple(g), tuple(-c for c in g)):
                 # finite differences carry ~1e-9 noise; key well above it
@@ -284,12 +325,14 @@ def build_norming_family(
                     c_w = max(abs(w.pair_floats(p)) / n for p, n in zip(probe, probe_norms))
                     scale = 1.0 / c_w if c_w > 1.0 else 1.0
                 funcs.append(SectionFunctional(dim, vec, scale))
-        if not any(max(abs(w.pair_floats(p)) for w in funcs) < lower * n * (1.0 - 1e-9)
-                   for p, n in zip(samples, sample_norms)):
+        if all(any(abs(w.pair_floats(p)) >= b for w in funcs)
+               for p, b in zip(samples, bounds)):
             return funcs
         count *= 2
+        if _net_size(dim, count) > _MAX_NET_DIRECTIONS:
+            break
     raise ValueError(
-        f"could not reach the (1+{eps})-sandwich after {_MAX_REFINEMENTS} net refinements"
+        f"could not reach the (1+{eps})-sandwich on nets of up to {len(net)} directions"
     )
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 
@@ -24,7 +25,12 @@ from orliczlab import (
     squares_slopes,
     triple_norm,
 )
-from orliczlab.abstract_renorm import _directions
+from orliczlab.abstract_renorm import (
+    _directions,
+    _norm_float,
+    _sample_points,
+    _subgradient,
+)
 
 
 def l1_oracle(v: FiniteVector) -> LogReal:
@@ -193,6 +199,80 @@ class TestFloatPairingMatchesLogReal:
         assert ref_rho_eval(fam, x.head(2)) == ZERO
 
 
+# -- reference builder: a subgradient at every net direction --------------------
+
+
+def ref_pair_floats(w: SectionFunctional, coords) -> float:
+    j = min(len(coords), w.level)
+    return w.scale * sum(w.coefficients[i] * coords[i] for i in range(j))
+
+
+def ref_build_norming_family(norm_oracle, dim, eps, seed=0, validation_samples=256):
+    """build_norming_family's net loop for dims 2 and 3 without the skip of
+    attained directions, with generator pairing and max-based validation."""
+    rng = random.Random(seed)
+    samples = _sample_points(dim, validation_samples, rng)
+    sample_norms = [_norm_float(norm_oracle, p) for p in samples]
+    theta = 2.0 * math.acos(1.0 / (1.0 + min(eps, 1.0) / 2.0))
+    count = max(6, int(math.ceil(2.0 * math.pi / theta)))
+    lower = 1.0 / (1.0 + eps)
+    for _ in range(6):
+        net = _directions(dim, count)
+        net_norms = [_norm_float(norm_oracle, d) for d in net]
+        probe = samples + net
+        probe_norms = sample_norms + net_norms
+        funcs = []
+        seen = set()
+        for d, nd in zip(net, net_norms):
+            g = _subgradient(norm_oracle, [c / nd for c in d])
+            scale = None
+            for vec in (tuple(g), tuple(-c for c in g)):
+                key = tuple(round(c, 6) for c in vec)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if scale is None:
+                    w = SectionFunctional(dim, vec)
+                    c_w = max(abs(ref_pair_floats(w, p)) / n for p, n in zip(probe, probe_norms))
+                    scale = 1.0 / c_w if c_w > 1.0 else 1.0
+                funcs.append(SectionFunctional(dim, vec, scale))
+        if not any(max(abs(ref_pair_floats(w, p)) for w in funcs) < lower * n * (1.0 - 1e-9)
+                   for p, n in zip(samples, sample_norms)):
+            return funcs
+        count *= 2
+    raise ValueError("reference builder could not reach the sandwich")
+
+
+class TestBuildMatchesReference:
+    """Skipping directions that a kept functional attains changes no family
+    of the triple norm or of l2, and on l1 drops only kink averages of kept
+    facet normals, such as (-1, 0) and (1, 0, 1)."""
+
+    @pytest.mark.parametrize("oracle_name, dim, eps, seed", [
+        ("triple", 2, 0.25, 92), ("triple", 2, 0.2, 3), ("triple", 2, 0.35, 7),
+        ("triple", 3, 0.3, 93), ("triple", 3, 0.2, 5), ("triple", 3, 0.35, 2),
+        ("triple", 2, 0.02, 4), ("l2", 2, 0.01, 4),
+        ("l2", 2, 0.2, 9), ("l2", 2, 0.3, 5), ("l2", 2, 0.1, 4),
+        ("l2", 3, 0.2, 1), ("l2", 3, 0.3, 5), ("l2", 3, 0.35, 8),
+    ])
+    def test_same_family(self, oracle_name, dim, eps, seed, triple_oracle):
+        oracle = {"l2": l2_oracle, "triple": triple_oracle}[oracle_name]
+        W = build_norming_family(oracle, dim, eps=eps, seed=seed)
+        ref = ref_build_norming_family(oracle, dim, eps=eps, seed=seed)
+        assert W == ref
+
+    @pytest.mark.parametrize("dim, eps, seed", [(2, 0.3, 5), (2, 0.2, 91), (3, 0.3, 5), (3, 0.2, 6)])
+    def test_l1_keeps_an_ordered_subfamily(self, dim, eps, seed):
+        W = build_norming_family(l1_oracle, dim, eps=eps, seed=seed)
+        ref = ref_build_norming_family(l1_oracle, dim, eps=eps, seed=seed)
+        rest = iter(ref)
+        assert all(any(w == r for r in rest) for w in W)
+        rng = random.Random(seed)
+        for _ in range(200):
+            p = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
+            assert max(abs(w.pair_floats(p)) for w in W) == max(abs(w.pair_floats(p)) for w in ref)
+
+
 class TestSectionFunctional:
     def test_level_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -310,20 +390,63 @@ class TestBuildNormingFamily:
         with pytest.raises(ValueError):
             build_norming_family(triple_oracle, 4, eps=0.2)
 
-    @pytest.mark.parametrize("dim, eps, net", [(2, 0.3, 7), (2, 0.2, 8), (3, 0.3, 16)])
-    def test_oracle_calls(self, dim, eps, net):
-        """dim unit checks, one call per validation sample, and per net
-        direction one norm plus 2 dim finite differences; the l1 family passes
-        on the first net."""
+    @pytest.mark.parametrize("oracle_name, dim, eps, net, want", [
+        ("l1", 2, 0.3, 7, 49), ("l1", 2, 0.2, 8, 50), ("l1", 3, 0.3, 16, 81),
+        ("l2", 2, 0.3, 7, 2 + 32 + 7 * (1 + 2 * 2)), ("l2", 2, 0.2, 8, 2 + 32 + 8 + 4 * 4),
+    ], ids=["2-0.3-7", "2-0.2-8", "3-0.3-16", "l2-2-0.3-7", "l2-2-0.2-8"])
+    def test_oracle_calls(self, oracle_name, dim, eps, net, want):
+        """dim unit checks, one call per validation sample, one norm per net
+        direction, and 2 dim finite differences per direction that no kept
+        functional attains; every family here passes on the first net.  The
+        strictly convex l2 attains nowhere but at the normal's own direction:
+        on the odd 7-direction net no direction is skipped, on the even
+        8-direction net every antipode is."""
+        oracle = {"l1": l1_oracle, "l2": l2_oracle}[oracle_name]
         calls = []
 
         def counted(v: FiniteVector) -> LogReal:
             calls.append(v)
-            return l1_oracle(v)
+            return oracle(v)
 
         build_norming_family(counted, dim, eps=eps, seed=5, validation_samples=32)
         assert len(_directions(dim, 7 if eps == 0.3 else 8)) == net
-        assert len(calls) == dim + 32 + net * (1 + 2 * dim)
+        assert len(calls) == want
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_tiny_eps_rejected_before_any_net(self, dim):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"eps = 1e-12 needs a first net of \d+ directions"):
+            build_norming_family(l1_oracle, dim, eps=1e-12)
+        with pytest.raises(ValueError, match="inf directions"):
+            build_norming_family(l1_oracle, dim, eps=1e-30)  # 1 + eps/2 rounds to 1
+        assert time.perf_counter() - start < 1.0
+
+    def test_refinement_stops_at_the_net_cap(self, monkeypatch):
+        # the l_1/2 quasi-norm is no norm: the hull of its ball is the l1
+        # ball, whose gauge is a third of it at (1, 1, 1), so no net reaches
+        # the sandwich; the first net of 546 directions would refine to 2246
+        def quasi(v: FiniteVector) -> LogReal:
+            return LogReal.from_float(
+                sum(math.sqrt(abs(c.to_float())) for c in v.coords.values()) ** 2)
+
+        sizes = []
+
+        def counted(dim, count):
+            net = _directions(dim, count)
+            sizes.append(len(net))
+            return net
+
+        monkeypatch.setattr("orliczlab.abstract_renorm._directions", counted)
+        with pytest.raises(ValueError, match="could not reach .* up to 546 directions"):
+            build_norming_family(quasi, 3, eps=0.009, validation_samples=16)
+        assert sizes == [546]
+
+    def test_negative_validation_samples_rejected(self):
+        with pytest.raises(ValueError, match="validation_samples"):
+            build_norming_family(l1_oracle, 2, eps=0.3, validation_samples=-3)
+        with pytest.raises(ValueError, match="validation_samples"):
+            assemble_norming_family(l1_oracle, eps=[0.3, 0.3], eta=[0.5, 0.5],
+                                    validation_samples=-1)
 
     @pytest.mark.parametrize("oracle_name, dim, eps, seed", [
         ("l2", 2, 0.2, 9), ("l1", 2, 0.3, 5), ("l1", 3, 0.2, 5), ("triple", 3, 0.35, 2),
