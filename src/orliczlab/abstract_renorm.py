@@ -251,7 +251,8 @@ def build_norming_family(
     kept w already supports the section there, and the skip keeps both sides
     of the sandwich: the upper side holds for every kept w, and the lower side
     is decided by the validation.  The net is refined until the sandwich holds
-    on a seeded validation sample.
+    on a seeded sample of `validation_samples` points, which must be at least
+    1: with none, nothing would check the lower side.
 
     No net above 2048 directions is built: an eps whose first net exceeds it
     (below about 2.35e-6 in dim 2 and 2.34e-3 in dim 3) raises ValueError, and
@@ -261,8 +262,8 @@ def build_norming_family(
         raise ValueError(f"section dimension must be 1..{_MAX_SECTION_DIM}, got {dim}")
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if validation_samples < 0:
-        raise ValueError(f"validation_samples must be >= 0, got {validation_samples}")
+    if validation_samples < 1:
+        raise ValueError(f"validation_samples must be >= 1, got {validation_samples}")
 
     for i in range(dim):
         unit = [0.0] * dim

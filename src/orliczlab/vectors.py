@@ -13,7 +13,7 @@ they end on the root once the segments stop moving.
 
 One walk, `_NewtonWalk`, computes a single norm or every prefix norm of a
 nonincreasing magnitude list.  It holds s, each point's segment n_i and the
-point's two terms, and three rules keep it cheap:
+point's two terms, and four rules keep it cheap:
 
 (a) Warm start.  Adding a coordinate raises the modular, so the root of
     prefix k - 1 is a start right of the root of prefix k; prefix k only
@@ -23,6 +23,15 @@ point's two terms, and three rules keep it cheap:
 (c) Partial recompute.  Only the terms of points that changed segment are
     recomputed, or all of them when n_1 moved, because the terms are scaled
     by a frame that depends on n_1 alone.
+(d) Nearest threshold.  As s falls, point i keeps segment n_i until s reaches
+    -rel[i] - n_i - 1.  The walk keeps `reach`, the largest of these keys, and
+    a step that stays above reach by more than the rounding of the keys and
+    of -s - rel[i] cannot move any point, so it stops without the O(k)
+    re-segmentation pass.  This only filters: whenever the filter cannot rule
+    a move out, the same floor(-s - rel[i]) as in rule (b) decides.  It only
+    holds for a step that did not raise s above the s at which the segments
+    were taken; the first step from a rounded start can rise by a few ulps,
+    segments could then move down, and such a step takes the full pass.
 
 The walk gives the same bits as re-solving every prefix from its start with
 every term recomputed at every step: each term comes from the same
@@ -37,6 +46,7 @@ magnitudes far outside the double range are fine.
 from __future__ import annotations
 
 import math
+from operator import add
 from typing import Iterable, Mapping
 
 from .logreal import LogReal, ZERO
@@ -184,9 +194,10 @@ class _NewtonWalk:
     Between calls the state is consistent at the current log2 s: `seg` holds
     each point's segment n_i, and `neg_c` and `b_terms` its terms -c(n_i) and
     b(n_i) 2^rel[i], both divided by the frame that `_frame` sets from n_1.
+    `reach` is the largest key -rel[i] - n_i - 1 (rule (d)).
     """
 
-    __slots__ = ("M", "s", "rel", "seg", "neg_c", "b_terms", "n1", "top", "scale")
+    __slots__ = ("M", "s", "rel", "seg", "neg_c", "b_terms", "n1", "top", "scale", "reach")
 
     def __init__(self, M: DyadicOrliczFunction, s_log2: float):
         self.M = M
@@ -197,6 +208,7 @@ class _NewtonWalk:
         self.b_terms: list[float] = []
         self.n1 = -1  # no frame until the first points arrive
         self.top = self.scale = 0.0
+        self.reach = -math.inf
 
     def root(self, new_rel: Iterable[float]) -> float:
         """Append the points new_rel at the current s and walk to the new root.
@@ -211,18 +223,34 @@ class _NewtonWalk:
         start = len(rel)
         rel.extend(new_rel)
         logb, logM = M.segment_tables(max(0, floor(-s - rel[-1])) + 1)
-        seg = self.seg
+        seg, reach = self.seg, self.reach
         for r in rel[start:]:
             n = floor(-s - r)
-            seg.append(n if n > 0 else 0)
+            if n < 0:
+                n = 0
+            seg.append(n)
+            if -r - n - 1 > reach:
+                reach = -r - n - 1
         if seg[0] != self.n1:
             self._frame(logb, seg[0])
         self.neg_c += [0.0] * (len(rel) - start)
         self.b_terms += [0.0] * (len(rel) - start)
         self._terms(logb, logM, range(start, len(rel)))
+        seg_s = s  # the s at which seg was taken
         nxt = self._step()
         while True:
             s = nxt
+            # Rule (d).  With u = 2^-53, R = -rel[-1] and N = seg[-1] (the
+            # largest |rel[i]| and n_i), each key is -rel[i] - n_i - 1 to
+            # within u (2R + 2N + 2).  Point i moves at this s only if
+            # fl(-s - rel[i]) >= n_i + 1, which needs
+            # s <= -rel[i] - n_i - 1 + u (|s| + R)
+            #   <= reach + u (|s| + 3R + 2N + 2),
+            # and the test below rounds reach + delta by at most
+            # u (R + N + 1 + delta).  delta = 8u (|s| + R + N + 1) covers
+            # both with a factor of two to spare.
+            if s <= seg_s and s > reach + 2.0 ** -50 * (abs(s) - rel[-1] + seg[-1] + 1):
+                break
             logb, logM = M.segment_tables(max(0, floor(-s - rel[-1])) + 1)
             negs = -s
             new = [floor(negs - r) for r in rel]
@@ -240,11 +268,13 @@ class _NewtonWalk:
             else:
                 moved = [i for i in range(len(rel)) if new[i] != seg[i]]
             self.seg = seg = new
+            seg_s = s
+            reach = -min(map(add, rel, seg)) - 1  # -(r + n) rounds as -r - n
             self._terms(logb, logM, moved)
             nxt = self._step()
             if not nxt < s:
                 break
-        self.s = s
+        self.s, self.reach = s, reach
         return s
 
     def _frame(self, logb: list[float], n1: int) -> None:

@@ -442,8 +442,10 @@ class TestBuildNormingFamily:
         assert sizes == [546]
 
     def test_negative_validation_samples_rejected(self):
-        with pytest.raises(ValueError, match="validation_samples"):
-            build_norming_family(l1_oracle, 2, eps=0.3, validation_samples=-3)
+        # 0 too: it used to return the first net's family unchecked
+        for samples in (-3, 0):
+            with pytest.raises(ValueError, match="validation_samples"):
+                build_norming_family(l1_oracle, 2, eps=0.3, validation_samples=samples)
         with pytest.raises(ValueError, match="validation_samples"):
             assemble_norming_family(l1_oracle, eps=[0.3, 0.3], eta=[0.5, 0.5],
                                     validation_samples=-1)

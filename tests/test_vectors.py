@@ -2,6 +2,7 @@
 
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -489,3 +490,86 @@ class TestWalkMatchesPerPrefixResolve:
         ):
             got = greedy_nk(make(), eta, alpha, default_probe_t, depth)
             assert got == resolve(greedy_nk, make(), eta, alpha, default_probe_t, depth)
+
+    @staticmethod
+    def threshold_vectors(M, rng):
+        """Integer and all-equal log2 magnitudes, each also with a tail at -s - m.
+
+        s is the head's root, and M at the tail points is too small to move
+        it, so -s - rel[i] is an integer for every tail point.
+        """
+        heads = [[0.0] + [float(rng.randint(-12, 0)) for _ in range(n - 1)] for n in range(1, 41)]
+        heads += [[0.0] * n for n in (1, 2, 3, 4, 7, 8, 16, 31, 32, 64, 70)]
+        for head in heads:
+            rel = sorted(head, reverse=True)
+            s = M.inverse_log2(0.0)
+            for k in range(1, len(rel) + 1):
+                s = _resolve_root_log2(M, rel[:k], s)
+            for mags in (head, head + [-s - m for m in range(60, 64)]):
+                indices = sorted(rng.sample(range(1, 2 * len(mags) + 1), len(mags)))
+                yield FiniteVector(
+                    {i: LogReal(rng.choice((-1, 1)), e) for i, e in zip(indices, mags)}
+                )
+
+    @pytest.mark.parametrize("gauge", ["identity", "pow2_list"])
+    def test_roots_on_exact_thresholds(self, gauge, resolve):
+        eta = EtaSequence.one_plus_pow2()
+        make = GOLDEN_GAUGES[gauge]
+        walk_M, ref_M = make_dyadic_plf(make()), make_dyadic_plf(make())
+        on_threshold = 0
+        for x in self.threshold_vectors(ref_M, random.Random(f"thresholds-{gauge}")):
+            assert self.observe(walk_M, eta, x) == resolve(self.observe, ref_M, eta, x)
+            sl = x.sorted_log2_magnitudes()
+            rel = [v - sl[0] for v in sl]
+            walk = vectors_mod._NewtonWalk(walk_M, walk_M.inverse_log2(0.0))
+            for k, r in enumerate(rel, start=1):
+                s = walk.root((r,))
+                # a prefix root where some point sits exactly on a segment threshold
+                on_threshold += any(-s - q >= 1 and (-s - q).is_integer() for q in rel[:k])
+        assert walk_M.segment_tables(0) == ref_M.segment_tables(0)
+        assert on_threshold >= 200
+
+    @pytest.mark.parametrize("gauge", ["counterexample45", "pow2_poly_fractional"])
+    def test_cold_start_step_that_rises(self, gauge, resolve):
+        eta = EtaSequence.one_plus_pow2()
+        make = GOLDEN_GAUGES[gauge]
+        walk_M, ref_M = make_dyadic_plf(make()), make_dyadic_plf(make())
+        s0 = walk_M.inverse_log2(0.0)
+        # the first step from the rounded M^(-1)(1) raises s by a few ulps
+        assert _resolve_step_log2(ref_M, [0.0], s0) > s0
+        assert _resolve_step_log2(ref_M, [0.0, -s0 - 60.0], s0) > s0
+        rng = random.Random(f"rise-{gauge}")
+        cases = [FiniteVector({1: LogReal(1, 3.0), 2: LogReal(-1, 3.0 - s0 - m)}) for m in range(1, 70)]
+        cases += list(self.vectors(rng, 20, range(1, 41)))
+        cases += list(self.threshold_vectors(ref_M, rng))
+        for x in cases:
+            sl = x.sorted_log2_magnitudes()
+            assert vectors_mod._norm_log2(walk_M, sl) == resolve(vectors_mod._norm_log2, ref_M, sl)
+            assert self.observe(walk_M, eta, x) == resolve(self.observe, ref_M, eta, x)
+        assert walk_M.segment_tables(0) == ref_M.segment_tables(0)
+
+    def test_no_pass_without_a_move(self, monkeypatch):
+        """All prefix norms at N = 3 200 take O(N) floor calls, not O(N^2).
+
+        Each prefix root makes 2 (the table depth and the new point's
+        segment); only a step that moves a segment, or that rises, pays the
+        O(k) re-segmentation pass.  Measured: 6 517 calls on this input; a
+        pass after every step makes 5 131 317.
+        """
+        rng = random.Random(3200)
+        sl = sorted((rng.uniform(-60.0, 4.0) for _ in range(3200)), reverse=True)
+        calls = 0
+
+        def counting_floor(v):
+            nonlocal calls
+            calls += 1
+            return math.floor(v)
+
+        fake = types.SimpleNamespace(**vars(math))
+        fake.floor = counting_floor
+        M = make_dyadic_plf(squares_slopes())
+        want = _resolve_prefix_norms_log2(M, sl[:200])
+        monkeypatch.setattr(vectors_mod, "math", fake)
+        got = vectors_mod._prefix_norms_log2(M, sl)
+        assert calls <= 3 * len(sl)
+        assert got[:200] == want
