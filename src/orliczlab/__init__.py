@@ -1,6 +1,6 @@
 """Numerical laboratory for dyadic piecewise-linear Orlicz sequence norms."""
 
-from .logreal import LogReal, Tolerance, ZERO, ONE, log_sum
+from .logreal import LogReal, Tolerance, ZERO, ONE
 from .orlicz import (
     DyadicOrliczFunction,
     RatioReport,

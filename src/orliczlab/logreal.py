@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 _LN2 = math.log(2.0)
 _LOG2E = 1.0 / _LN2
@@ -237,11 +236,4 @@ _ONE = LogReal(1, 0.0)
 
 ZERO = _ZERO
 ONE = _ONE
-
-
-def log_sum(values: Iterable[LogReal]) -> LogReal:
-    total = _ZERO
-    for v in values:
-        total = total + v
-    return total
 

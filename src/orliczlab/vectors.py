@@ -17,7 +17,10 @@ point's two terms, and four rules keep it cheap:
 
 (a) Warm start.  Adding a coordinate raises the modular, so the root of
     prefix k - 1 is a start right of the root of prefix k; prefix k only
-    appends the new coordinate's terms at that root.
+    appends the new coordinate's terms at that root.  `prefix_roots` does
+    this for every prefix in one frame, with the expressions of `_terms` and
+    `_step`, and asks for tables only when the new segment is past those it
+    holds: table entries never change, so fewer requests keep the bits.
 (b) Stop on repeated segments.  After a step the walk re-segments; if no n_i
     moved, the next step would return the same value, so it stops there.
 (c) Partial recompute.  Only the terms of points that changed segment are
@@ -46,8 +49,8 @@ magnitudes far outside the double range are fine.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from operator import add
-from typing import Iterable, Mapping
 
 from .logreal import LogReal, ZERO
 from .orlicz import DyadicOrliczFunction
@@ -185,7 +188,7 @@ def _prefix_norms_log2(M: DyadicOrliczFunction, sorted_log2: list[float]) -> lis
         return []
     top = sorted_log2[0]
     walk = _NewtonWalk(M, M.inverse_log2(0.0))
-    return [top - walk.root((v - top,)) for v in sorted_log2]
+    return [top - s for s in walk.prefix_roots(v - top for v in sorted_log2)]
 
 
 class _NewtonWalk:
@@ -215,8 +218,7 @@ class _NewtonWalk:
 
         Rule (a): only the new points get terms before the first step.  The
         first step is always taken, so a start a few ulps left of the root (a
-        rounded M^(-1)(1)) still lands on the right.  Each step first asks for
-        the tables down to the segment of the smallest point.
+        rounded M^(-1)(1)) still lands on the right.
         """
         M, rel, s = self.M, self.rel, self.s
         floor = math.floor
@@ -231,13 +233,52 @@ class _NewtonWalk:
             seg.append(n)
             if -r - n - 1 > reach:
                 reach = -r - n - 1
+        self.reach = reach
         if seg[0] != self.n1:
             self._frame(logb, seg[0])
         self.neg_c += [0.0] * (len(rel) - start)
         self.b_terms += [0.0] * (len(rel) - start)
         self._terms(logb, logM, range(start, len(rel)))
-        seg_s = s  # the s at which seg was taken
-        nxt = self._step()
+        return self._settle(s, self._step())
+
+    def prefix_roots(self, rels: Iterable[float]) -> list[float]:
+        """Append the points one at a time and return the root after each.
+
+        Each prefix gives the bits of `root((r,))` (rule (a)).
+        """
+        M, rel, neg_c, b_terms = self.M, self.rel, self.neg_c, self.b_terms
+        floor, log2, fsum = math.floor, math.log2, math.fsum
+        logb = logM = []
+        roots = []
+        for r in rels:
+            s = self.s
+            n = floor(-s - r)
+            if n < 0:
+                n = 0
+            if n + 1 >= len(logM):
+                logb, logM = M.segment_tables(n + 1)
+            rel.append(r)
+            self.seg.append(n)
+            if -r - n - 1 > self.reach:
+                self.reach = -r - n - 1
+            if self.seg[0] != self.n1:
+                self._frame(logb, self.seg[0])
+            top, scale = self.top, self.scale
+            lb = logb[n]
+            neg_c.append(2.0 ** (lb - n - 1 - scale) - 2.0 ** (logM[n + 1] - scale))
+            b_terms.append(2.0 ** (lb - top + r))
+            nxt = scale + log2(2.0 ** -scale + fsum(neg_c)) - log2(fsum(b_terms)) - top
+            roots.append(self._settle(s, nxt))
+        return roots
+
+    def _settle(self, seg_s: float, nxt: float) -> float:
+        """Walk on from nxt, the first step from the segments taken at seg_s, to the root.
+
+        Each pass first asks for the tables down to the segment of the
+        smallest point.
+        """
+        M, rel, seg, reach = self.M, self.rel, self.seg, self.reach
+        floor = math.floor
         while True:
             s = nxt
             # Rule (d).  With u = 2^-53, R = -rel[-1] and N = seg[-1] (the

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orliczlab import LogReal, Tolerance, ZERO, log_sum
+from orliczlab import LogReal, Tolerance, ZERO
 
 finite_vals = st.floats(
     min_value=-1e15, max_value=1e15, allow_nan=False, allow_infinity=False
@@ -220,8 +220,3 @@ class TestToleranceType:
             Tolerance(rel=0.0)
         with pytest.raises(ValueError):
             Tolerance(rel=1e-9, abs_log2=-1.0)
-
-    def test_log_sum_empty_and_order(self):
-        assert log_sum([]) == ZERO
-        vals = [LogReal.from_float(v) for v in (0.1, -0.3, 0.7)]
-        assert log_sum(vals).to_float() == pytest.approx(0.5, rel=1e-12)

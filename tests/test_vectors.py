@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from orliczlab import (
+    DyadicOrliczFunction,
     EtaSequence,
     FiniteVector,
     LogReal,
@@ -344,8 +345,8 @@ class TestNewtonExactness:
 #
 # The reference below re-solves each prefix from the previous root and
 # recomputes every term at every step.  The walk must give the same bits and
-# ask for the same table depths in the same order, so the two run on twin
-# gauges and every result, and finally the tables themselves, compare with ==.
+# leave the same tables, so the two run on twin gauges and every result, and
+# finally the tables themselves, compare with ==.
 
 
 def _resolve_root_log2(M, rel, s_log2):
@@ -572,4 +573,57 @@ class TestWalkMatchesPerPrefixResolve:
         monkeypatch.setattr(vectors_mod, "math", fake)
         got = vectors_mod._prefix_norms_log2(M, sl)
         assert calls <= 3 * len(sl)
+        assert got[:200] == want
+
+
+class TestPrefixRoots:
+    @staticmethod
+    def rel_lists(M, gauge):
+        """Random, threshold and rising cold-start inputs, as log2 magnitudes relative to the top."""
+        rng = random.Random(f"prefix-roots-{gauge}")
+        s0 = M.inverse_log2(0.0)
+        cases = [FiniteVector({1: LogReal(1, 3.0), 2: LogReal(-1, 3.0 - s0 - m)}) for m in range(1, 70)]
+        cases += list(TestWalkMatchesPerPrefixResolve.vectors(rng, 30, range(1, 61)))
+        cases += list(TestWalkMatchesPerPrefixResolve.threshold_vectors(M, rng))
+        for x in cases:
+            sl = x.sorted_log2_magnitudes()
+            yield [v - sl[0] for v in sl]
+
+    @staticmethod
+    def state(walk):
+        return (walk.s, walk.seg, walk.reach, walk.n1, walk.neg_c, walk.b_terms)
+
+    @pytest.mark.parametrize("gauge", sorted(GOLDEN_GAUGES))
+    def test_matches_one_root_per_prefix(self, gauge):
+        make = GOLDEN_GAUGES[gauge]
+        walk_M, root_M = make_dyadic_plf(make()), make_dyadic_plf(make())
+        for rel in self.rel_lists(make_dyadic_plf(make()), gauge):
+            walk = vectors_mod._NewtonWalk(walk_M, walk_M.inverse_log2(0.0))
+            other = vectors_mod._NewtonWalk(root_M, root_M.inverse_log2(0.0))
+            assert walk.prefix_roots(rel) == [other.root((r,)) for r in rel]
+            assert self.state(walk) == self.state(other)
+        assert walk_M.segment_tables(0) == root_M.segment_tables(0)
+
+    @pytest.mark.parametrize("make", [squares_slopes, geometric_slopes])
+    def test_few_table_requests(self, make, monkeypatch):
+        """All prefix norms at N = 3 200 ask for the tables only when they must deepen.
+
+        Measured: 11 requests on `squares` and 46 on `geometric` for this
+        input; one request per prefix root makes 3 206 and 3 241.
+        """
+        rng = random.Random(3200)
+        sl = sorted((rng.uniform(-60.0, 4.0) for _ in range(3200)), reverse=True)
+        M = make_dyadic_plf(make())
+        want = _resolve_prefix_norms_log2(make_dyadic_plf(make()), sl[:200])
+        calls = 0
+        tables = DyadicOrliczFunction.segment_tables
+
+        def counting(self, depth):
+            nonlocal calls
+            calls += 1
+            return tables(self, depth)
+
+        monkeypatch.setattr(DyadicOrliczFunction, "segment_tables", counting)
+        got = vectors_mod._prefix_norms_log2(M, sl)
+        assert calls <= 100
         assert got[:200] == want
