@@ -49,7 +49,6 @@ from .counterexample import (
     attainment_failure_probe,
     gen_sequences,
     greedy_nk,
-    greedy_vector,
     ratio_bound_check,
     verify_claims,
 )

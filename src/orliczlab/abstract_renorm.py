@@ -14,11 +14,12 @@ Every pairing <P_j x, w> goes through SectionFunctional.pair_floats: the
 coordinates 1..j of x are framed once per call as floats relative to 2^top,
 top their largest log2 magnitude, and one LogReal is built from the result.
 
-Norming sets are built from an angular direction net: each direction u is
-normed once and, unless a functional kept so far already attains the norm at
-u, contributes a finite-difference supporting functional g of the section
-norm, rescaled into the dual ball as witnessed on the net and the validation
-samples; -g shares g's scale.  The two-sided sandwich is validated on the
+Norming sets are ±W by construction: each direction u of an angular net is
+normed once and, unless a g in W already attains the norm at u, adds to W a
+finite-difference supporting functional g of the section norm, rescaled into
+the dual ball as witnessed on the net and the validation samples.  The set
+returned is g, -g for each g of W, -g by exact negation with g's scale, so
+nothing needs deduplicating.  The two-sided sandwich is validated on the
 seeded sample grid (a finite certificate, not a proof).  The dimension cap of
 3 and a cap on the net size keep every net small enough to check in seconds.
 """
@@ -42,9 +43,18 @@ _MAX_SECTION_DIM = 3
 # central-difference step of its supporting functionals
 _MAX_REFINEMENTS = 6
 _FD_STEP_REL = 1e-7
-# relative slack of the sandwich's lower side, and of "w attains the norm at
-# u", below which finite-difference noise is not told apart from a gap
+# relative slack of the sandwich's lower side in the validation
 _ATTAIN_SLACK = 1e-9
+# "a kept g attains the norm at the unit point u" is |g(u)| >= 1 - _FD_SLACK.
+# On a facet the section norm f is linear, so the central difference
+# g_i = (f(u + h e_i) - f(u - h e_i)) / 2h, h = _FD_STEP_REL, errs by
+# rounding only: two values near 1, each off by 2^-52 (the oracle's rounding
+# and that of u_i +- h), put g_i within 2^-52 / h, and g(u) within
+# 2^-52 / h * sum |u_i| of 1.  The dual-ball rescale, set at another point of
+# the facet, errs as much again, so 2^-50 / h ~ 8.9e-9 covers both where
+# sum |u_i| <= 2.  The largest rescale measured on l1, l2, l3, Luxemburg and
+# triple-norm sections is 1 + 2.6e-9.
+_FD_SLACK = 2.0**-50 / _FD_STEP_REL
 # largest direction net build_norming_family builds; c09's dim-3 nets have
 # 86-114 directions
 _MAX_NET_DIRECTIONS = 2048
@@ -243,16 +253,17 @@ def build_norming_family(
 ) -> list[SectionFunctional]:
     """Finite W with (1+eps)^(-1) ||x|| <= max_W |w(x)| <= ||x|| on the section.
 
-    Directions u on an angular net, in net order, each contribute a
-    finite-difference supporting functional unless a functional kept so far
-    already has |w(u)| >= 1 - 1e-9 at the normalised u; the kept functionals
-    are deduplicated and rescaled into the dual ball as witnessed on the net
-    and the validation samples.  A skipped u is one of those witnesses, so the
-    kept w already supports the section there, and the skip keeps both sides
-    of the sandwich: the upper side holds for every kept w, and the lower side
-    is decided by the validation.  The net is refined until the sandwich holds
-    on a seeded sample of `validation_samples` points, which must be at least
-    1: with none, nothing would check the lower side.
+    W is ±kept, returned as g, -g for each kept g in turn.  Directions u on an
+    angular net, in net order, each add to `kept` a finite-difference
+    supporting functional g, rescaled into the dual ball as witnessed on the
+    net and the validation samples, unless a kept g already has
+    |g(u)| >= 1 - _FD_SLACK at the normalised u.  A skipped u is one of those
+    witnesses, so the kept g already supports the section there, and the skip
+    keeps both sides of the sandwich: the upper side holds for every g, and
+    the lower side is decided by the validation, for which `kept` suffices as
+    |-g(p)| is |g(p)|.  The net is refined until the sandwich holds on a
+    seeded sample of `validation_samples` points, which must be at least 1:
+    with none, nothing would check the lower side.
 
     No net above 2048 directions is built: an eps whose first net exceeds it
     (below about 2.35e-6 in dim 2 and 2.34e-3 in dim 3) raises ValueError, and
@@ -305,30 +316,20 @@ def build_norming_family(
         # the dual ball as witnessed on samples + net
         probe = samples + net
         probe_norms = sample_norms + net_norms
-        funcs: list[SectionFunctional] = []
-        seen: set[tuple[float, ...]] = set()
+        kept: list[SectionFunctional] = []
         for d, nd in zip(net, net_norms):
             # a point on the unit sphere of the section norm
             u = [c / nd for c in d]
-            if any(abs(w.pair_floats(u)) >= 1.0 - _ATTAIN_SLACK for w in funcs):
+            if any(abs(w.pair_floats(u)) >= 1.0 - _FD_SLACK for w in kept):
                 continue
-            g = _subgradient(norm_oracle, u)
-            scale = None
-            for vec in (tuple(g), tuple(-c for c in g)):
-                # finite differences carry ~1e-9 noise; key well above it
-                key = tuple(round(c, 6) for c in vec)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if scale is None:
-                    # negation is exact, so -g gets g's scale bit for bit
-                    w = SectionFunctional(dim, vec)
-                    c_w = max(abs(w.pair_floats(p)) / n for p, n in zip(probe, probe_norms))
-                    scale = 1.0 / c_w if c_w > 1.0 else 1.0
-                funcs.append(SectionFunctional(dim, vec, scale))
-        if all(any(abs(w.pair_floats(p)) >= b for w in funcs)
+            g = SectionFunctional(dim, tuple(_subgradient(norm_oracle, u)))
+            c_g = max(abs(g.pair_floats(p)) / n for p, n in zip(probe, probe_norms))
+            kept.append(SectionFunctional(dim, g.coefficients, 1.0 / c_g if c_g > 1.0 else 1.0))
+        if all(any(abs(w.pair_floats(p)) >= b for w in kept)
                for p, b in zip(samples, bounds)):
-            return funcs
+            # negation is exact, so -g keeps g's scale bit for bit
+            return [v for w in kept for v in
+                    (w, SectionFunctional(dim, tuple(-c for c in w.coefficients), w.scale))]
         count *= 2
         if _net_size(dim, count) > _MAX_NET_DIRECTIONS:
             break

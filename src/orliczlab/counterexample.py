@@ -30,7 +30,7 @@ from .orlicz import (
 )
 from .renorm import EtaSequence
 from .reports import CheckRow, Report
-from .vectors import FiniteVector, _norm_log2
+from .vectors import _norm_log2
 
 _LOG2E = 1.0 / math.log(2.0)
 
@@ -437,10 +437,6 @@ def greedy_nk(
 
 def _single_norm_log2(M: DyadicOrliczFunction, coord_log2: float) -> float:
     return coord_log2 - M.inverse_log2(0.0)
-
-
-def greedy_vector(trace: GreedyTrace, t_seq: Callable[[int], LogReal]) -> FiniteVector:
-    return FiniteVector({j + 1: t_seq(n) for j, n in enumerate(trace.chosen)})
 
 
 # -- the dichotomy probe -------------------------------------------------------

@@ -26,22 +26,15 @@ _FLOAT_MIN_LOG2 = -1074.0
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Comparison slack.
-
-    ``rel`` is a relative tolerance on values (used by iterative solvers),
-    ``abs_log2`` is an absolute slack on base-2 exponents (used by ordering
-    comparisons).  There is deliberately no global default epsilon; call sites
-    pass the tolerance they mean.
+    """Relative tolerance ``rel`` on values.  There is deliberately no global
+    default epsilon; call sites pass the tolerance they mean.
     """
 
     rel: float
-    abs_log2: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.rel > 0.0:
             raise ValueError(f"rel tolerance must be positive, got {self.rel}")
-        if self.abs_log2 < 0.0:
-            raise ValueError(f"abs_log2 slack must be >= 0, got {self.abs_log2}")
 
 
 def log2_add(a: float, b: float) -> float:
@@ -159,32 +152,25 @@ class LogReal:
 
     # -- ordering ----------------------------------------------------------
 
-    def _cmp(self, other: "LogReal", abs_log2: float) -> int:
+    def _cmp(self, other: "LogReal") -> int:
         if self.sign != other.sign:
             return -1 if self.sign < other.sign else 1
-        if self.sign == 0:
+        if self.sign == 0 or self.log2mag == other.log2mag:
             return 0
-        d = self.log2mag - other.log2mag
-        if abs(d) <= abs_log2:
-            return 0
-        s = 1 if d > 0 else -1
+        s = 1 if self.log2mag > other.log2mag else -1
         return s if self.sign > 0 else -s
 
-    def cmp(self, other: "LogReal", tol: Tolerance) -> int:
-        """-1, 0 or +1; exponents within tol.abs_log2 compare equal."""
-        return self._cmp(other, tol.abs_log2)
-
     def __lt__(self, other: "LogReal") -> bool:
-        return self._cmp(other, 0.0) < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other: "LogReal") -> bool:
-        return self._cmp(other, 0.0) <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other: "LogReal") -> bool:
-        return self._cmp(other, 0.0) > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other: "LogReal") -> bool:
-        return self._cmp(other, 0.0) >= 0
+        return self._cmp(other) >= 0
 
     # -- conversion & rendering --------------------------------------------
 

@@ -188,9 +188,6 @@ class DyadicOrliczFunction:
         self._ensure_depth(n)
         return self._logM[n]
 
-    def breakpoint_value(self, n: int) -> LogReal:
-        return LogReal.from_log2(self.breakpoint_log2(n))
-
     def segment_tables(self, depth: int) -> tuple[list[float], list[float]]:
         """The log2 b(n) and log2 M(2^(-n)) tables, both defined up to n = depth."""
         self._ensure_depth(depth)

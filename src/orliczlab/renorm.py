@@ -103,7 +103,11 @@ class EtaSequence:
 
     @staticmethod
     def unchecked(fn: Callable[[int], float], description: str = "user") -> "EtaSequence":
-        """Accept a user rule eta_k (plain values) with validation skipped."""
+        """Accept a user rule eta_k (plain values) with validation skipped.
+
+        A plain value loses eta_k - 1 below 2^-52: 1 + 2^-k rounds to 1 from
+        k = 53 on, so such a rule gives log2 eta_k = 0.0 there.
+        """
         return EtaSequence(
             lambda k: math.log2(fn(k)), f"{description} (unchecked)", validated=False
         )
@@ -339,28 +343,3 @@ def growth_index(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector) -> 
         if eta_log2[k] + head_norms[k - 1] >= full - _TIE_SLACK_LOG2:
             return k
     raise AssertionError("growth index must exist at k = N")
-
-
-def parse_scheme(text: str) -> dict[str, object]:
-    """Parse the plain-text scheme block back into its table form."""
-    out: dict[str, object] = {"bk": {}, "eta": {}}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key == "m":
-            out["m"] = int(value)
-        elif key == "k_max":
-            out["k_max"] = int(value)
-        elif key.startswith("bk "):
-            out["bk"][int(key[3:])] = LogReal.parse(value)
-        elif key.startswith("eta "):
-            out["eta"][int(key[4:])] = float(value)
-        elif key == "eta_rule":
-            out["eta_rule"] = value
-        elif key == "inconclusive":
-            out["inconclusive"] = [int(tok) for tok in value.split()]
-    return out

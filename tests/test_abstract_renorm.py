@@ -19,6 +19,7 @@ from orliczlab import (
     assemble_norming_family,
     build_norming_family,
     check_precisely_norming,
+    luxemburg_norm,
     make_dyadic_plf,
     projection_seminorm,
     rho_eval,
@@ -43,6 +44,17 @@ def l1_oracle(v: FiniteVector) -> LogReal:
 def l2_oracle(v: FiniteVector) -> LogReal:
     s = sum(c.to_float() ** 2 for c in v.coords.values())
     return LogReal.from_float(math.sqrt(s))
+
+
+def l3_oracle(v: FiniteVector) -> LogReal:
+    s = sum(abs(c.to_float()) ** 3 for c in v.coords.values())
+    return LogReal.from_float(s ** (1.0 / 3.0))
+
+
+@pytest.fixture(scope="module")
+def lux_squares_oracle():
+    squares = make_dyadic_plf(squares_slopes())
+    return lambda v: luxemburg_norm(squares, v)
 
 
 @pytest.fixture(scope="module")
@@ -245,8 +257,8 @@ def ref_build_norming_family(norm_oracle, dim, eps, seed=0, validation_samples=2
 
 class TestBuildMatchesReference:
     """Skipping directions that a kept functional attains changes no family
-    of the triple norm or of l2, and on l1 drops only kink averages of kept
-    facet normals, such as (-1, 0) and (1, 0, 1)."""
+    of the triple norm, the Luxemburg norm, l2 or l3, and on l1 drops only
+    kink averages of kept facet normals, such as (-1, 0) and (1, 0, 1)."""
 
     @pytest.mark.parametrize("oracle_name, dim, eps, seed", [
         ("triple", 2, 0.25, 92), ("triple", 2, 0.2, 3), ("triple", 2, 0.35, 7),
@@ -254,9 +266,12 @@ class TestBuildMatchesReference:
         ("triple", 2, 0.02, 4), ("l2", 2, 0.01, 4),
         ("l2", 2, 0.2, 9), ("l2", 2, 0.3, 5), ("l2", 2, 0.1, 4),
         ("l2", 3, 0.2, 1), ("l2", 3, 0.3, 5), ("l2", 3, 0.35, 8),
+        ("l3", 2, 0.3, 2), ("l3", 3, 0.3, 3),
+        ("lux-squares", 2, 0.2, 1), ("lux-squares", 3, 0.25, 4),
     ])
-    def test_same_family(self, oracle_name, dim, eps, seed, triple_oracle):
-        oracle = {"l2": l2_oracle, "triple": triple_oracle}[oracle_name]
+    def test_same_family(self, oracle_name, dim, eps, seed, triple_oracle, lux_squares_oracle):
+        oracle = {"l2": l2_oracle, "l3": l3_oracle, "triple": triple_oracle,
+                  "lux-squares": lux_squares_oracle}[oracle_name]
         W = build_norming_family(oracle, dim, eps=eps, seed=seed)
         ref = ref_build_norming_family(oracle, dim, eps=eps, seed=seed)
         assert W == ref
@@ -411,6 +426,25 @@ class TestBuildNormingFamily:
         build_norming_family(counted, dim, eps=eps, seed=5, validation_samples=32)
         assert len(_directions(dim, 7 if eps == 0.3 else 8)) == net
         assert len(calls) == want
+
+    @pytest.mark.parametrize("dim, eps, seed", [(2, 0.02, 4), (2, 0.1, 2), (3, 0.35, 2)])
+    def test_one_pair_per_finite_difference(self, dim, eps, seed, triple_oracle, monkeypatch):
+        """The family is +-W: each finite difference on the last net gives one
+        functional and its negation, and no functional is taken twice."""
+        taken = []
+
+        def counted_net(dim, count):
+            taken.clear()
+            return _directions(dim, count)
+
+        def counted_subgradient(oracle, point):
+            taken.append(point)
+            return _subgradient(oracle, point)
+
+        monkeypatch.setattr("orliczlab.abstract_renorm._directions", counted_net)
+        monkeypatch.setattr("orliczlab.abstract_renorm._subgradient", counted_subgradient)
+        W = build_norming_family(triple_oracle, dim, eps=eps, seed=seed)
+        assert len(W) == 2 * len(taken)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_tiny_eps_rejected_before_any_net(self, dim):

@@ -13,7 +13,6 @@ from orliczlab import (
     LogReal,
     gen_sequences,
     greedy_nk,
-    greedy_vector,
     identity_slopes,
     luxemburg_norm,
     make_dyadic_plf,
@@ -325,7 +324,7 @@ class TestGreedy:
         # minimality consequence: triangle-bound implication checked per step
         assert all(trace.stabilization_checks)
         # prefix values never exceed the budget, so base norms stay <= 1
-        x = greedy_vector(trace, default_probe_t)
+        x = FiniteVector({j + 1: default_probe_t(n) for j, n in enumerate(trace.chosen)})
         for k in (5, 15, 30):
             assert luxemburg_norm(M_ce, x.head(k)).log2mag <= 1e-11
 

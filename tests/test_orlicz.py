@@ -79,9 +79,6 @@ class TestGeometricClosedForm:
             assert geom.breakpoint_log2(n) == pytest.approx(
                 math.log2(2.0 / 3.0) - 2 * n, rel=1e-14, abs=1e-12
             )
-            assert geom.breakpoint_value(n).to_float() == pytest.approx(
-                (2.0 / 3.0) * 4.0 ** -n, rel=1e-13
-            )
 
     def test_eval_quarter(self, geom):
         assert geom.eval(LogReal.two_pow(-2)).to_float() == pytest.approx(1 / 24, rel=1e-13)

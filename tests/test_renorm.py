@@ -25,7 +25,6 @@ from orliczlab import (
     triple_norm,
 )
 from orliczlab import renorm as renorm_mod
-from orliczlab.renorm import parse_scheme
 from orliczlab import squares_slopes
 
 
@@ -193,16 +192,6 @@ class TestRenormScheme:
     def test_identity_scheme_infeasible(self, ident):
         with pytest.raises(EtaInfeasibleError):
             build_renorm_scheme(ident, 1, 20)
-
-    def test_serialization_roundtrip(self, squares):
-        scheme = build_renorm_scheme(squares, 2, 10)
-        parsed = parse_scheme(scheme.render())
-        assert parsed["m"] == 2
-        assert parsed["k_max"] == 10
-        assert parsed["bk"][3].log2mag == pytest.approx(
-            scheme.bk_table[3].log2mag, rel=1e-15
-        )
-        assert parsed["eta"][5] == pytest.approx(scheme.eta(5), rel=1e-15)
 
 
 class TestTripleNorm:

@@ -552,10 +552,10 @@ class TestWalkMatchesPerPrefixResolve:
     def test_no_pass_without_a_move(self, monkeypatch):
         """All prefix norms at N = 3 200 take O(N) floor calls, not O(N^2).
 
-        Each prefix root makes 2 (the table depth and the new point's
-        segment); only a step that moves a segment, or that rises, pays the
-        O(k) re-segmentation pass.  Measured: 6 517 calls on this input; a
-        pass after every step makes 5 131 317.
+        Each prefix root makes 1 (the new point's segment); only a step that
+        moves a segment, or that rises, pays the O(k) re-segmentation pass.
+        Measured: 3 317 calls on this input; a pass after every step makes
+        5 128 117.
         """
         rng = random.Random(3200)
         sl = sorted((rng.uniform(-60.0, 4.0) for _ in range(3200)), reverse=True)
