@@ -1,6 +1,6 @@
 """Numerical laboratory for dyadic piecewise-linear Orlicz sequence norms."""
 
-from .logreal import LogReal, Tolerance, ZERO, ONE
+from .logreal import LogReal, Tolerance, ZERO
 from .orlicz import (
     DyadicOrliczFunction,
     RatioReport,
@@ -38,7 +38,6 @@ from .abstract_renorm import (
     assemble_norming_family,
     build_norming_family,
     check_precisely_norming,
-    parse_norming_family,
     projection_seminorm,
     rho_eval,
 )

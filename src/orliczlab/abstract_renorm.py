@@ -171,27 +171,6 @@ class NormingFamily:
         return "\n".join(lines) + "\n"
 
 
-def parse_norming_family(text: str) -> NormingFamily:
-    levels: dict[int, NormingLevel] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("level "):
-            head, _, rest = line.partition(" eps = ")
-            j = int(head.split()[1])
-            eps_text, _, eta_text = rest.partition(" eta = ")
-            levels[j] = NormingLevel(j, [], eps=float(eps_text), eta=float(eta_text))
-        elif line.startswith("w "):
-            head, _, coeffs = line.partition("=")
-            j = int(head.split()[1])
-            vec = tuple(float(tok) for tok in coeffs.split())
-            levels[j].functionals.append(SectionFunctional(j, vec))
-        else:
-            raise ValueError(f"unrecognized family line {raw!r}")
-    return NormingFamily(sorted(levels.values(), key=lambda l: l.level))
-
-
 def _directions(dim: int, count: int) -> list[tuple[float, ...]]:
     """Roughly uniform unit directions; count is a per-circle resolution."""
     if dim == 1:
@@ -279,13 +258,13 @@ def build_norming_family(
     for i in range(dim):
         unit = [0.0] * dim
         unit[i] = 1.0
-        if _norm_float(norm_oracle, unit) <= 0.0:
+        n_unit = _norm_float(norm_oracle, unit)
+        if n_unit <= 0.0:
             raise ValueError(f"norm oracle vanishes on e_{i + 1}; not a norm")
 
     if dim == 1:
         # the two dual-ball extreme points: w(c e_1) = c ||e_1|| = ||c e_1||
-        n1 = _norm_float(norm_oracle, [1.0])
-        return [SectionFunctional(1, (n1,)), SectionFunctional(1, (-n1,))]
+        return [SectionFunctional(1, (n_unit,)), SectionFunctional(1, (-n_unit,))]
 
     # initial angular resolution from the euclidean support-function bound
     # 1/cos(theta/2) - 1 <= eps/2, then refine on validation failure

@@ -9,7 +9,7 @@ File formats, bit-exactly:
 
 * function files: ``key = value`` lines, ``#`` comments; ``kind`` selects
   ``list`` (plus ``slopes = <tokens>``), ``pow2_poly`` (plus ``a``/``b``/``c``)
-  or ``counterexample`` (plus ``depth``); optional ``tail_rel``.
+  or ``counterexample`` (plus ``depth``); any other key is a parse error.
 * vector files: whitespace-separated tokens, one coordinate per token in
   index order starting at 1; a token is a decimal (``0.25``, ``-1.5e-3``) or
   a signed power of two (``2^-100``, ``-2^3.5``); zeros are dropped.

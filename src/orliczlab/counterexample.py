@@ -21,13 +21,8 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-from .logreal import LogReal, Tolerance, log2_add
-from .orlicz import (
-    DEFAULT_TAIL_TOL,
-    DyadicOrliczFunction,
-    SlopeSequence,
-    make_dyadic_plf,
-)
+from .logreal import LogReal, log2_add
+from .orlicz import DyadicOrliczFunction, SlopeSequence, make_dyadic_plf
 from .renorm import EtaSequence
 from .reports import CheckRow, Report
 from .vectors import _norm_log2
@@ -131,15 +126,10 @@ class CounterexampleSequences:
         return triangular(self.depth) + self.depth + 1
 
     def slopes(self) -> SlopeSequence:
-        return SlopeSequence(
-            self.log2_b,
-            kind="counterexample",
-            label=f"counterexample(depth={self.depth})",
-            source=self,
-        )
+        return SlopeSequence(self.log2_b, source=self)
 
-    def make_function(self, tail_tol: Tolerance = DEFAULT_TAIL_TOL) -> DyadicOrliczFunction:
-        return make_dyadic_plf(self.slopes(), tail_tol)
+    def make_function(self) -> DyadicOrliczFunction:
+        return make_dyadic_plf(self.slopes())
 
     def _validate(self) -> None:
         prev_a = math.inf
@@ -334,6 +324,10 @@ def ratio_bound_check(
 # -- greedy construction -------------------------------------------------------
 
 
+# Candidates the greedy scan tries at one step before it gives up.
+_SEARCH_CAP = 5000
+
+
 class GreedySearchError(RuntimeError):
     """The candidate scan hit its cap without satisfying the norm budget."""
 
@@ -368,14 +362,14 @@ def greedy_nk(
     alpha_threshold: LogReal,
     t_seq: Callable[[int], LogReal],
     depth: int,
-    search_cap: int = 5000,
 ) -> GreedyTrace:
     """Smallest-index greedy fill-in under the weighted-norm budget.
 
     Step k picks the least n >= n_{k-1} with
     eta_k * |prefix + t(n) e_k| <= alpha; existence is guaranteed for null
-    t-sequences because eta strictly decreases, and the scan errors out at
-    search_cap instead of looping.
+    t-sequences because eta strictly decreases, and the scan raises
+    GreedySearchError once more than _SEARCH_CAP candidates failed at one
+    step instead of looping.
 
     Each accepted coordinate is <= every earlier one, so the prefix is its own
     rearrangement and the new renormed value is max(previous value,
@@ -416,7 +410,7 @@ def greedy_nk(
                 break
             n += 1
             count += 1
-            if count > search_cap:
+            if count > _SEARCH_CAP:
                 raise GreedySearchError(k, n)
         stab_checks.append((not force_same) or n == chosen[-1])
         chosen.append(n)
@@ -446,38 +440,39 @@ PROBE_STABILIZED = "stabilized"
 PROBE_INCONCLUSIVE = "inconclusive"
 
 
+# The probe's modelling band, in log2: v_k "rose" when it exceeds v_(k-1) by
+# more than this, the plateau starts at the first v_k within it of the last
+# value, and a row passes when v_k is at most the budget plus it.  It names
+# what the probe counts as flat; it is not derived from a rounding bound.
+_PROBE_SLACK_LOG2 = 1e-11
+
+
 def default_probe_t(n: int) -> LogReal:
     """t(n) = 2^(-n(n+1)/2), the triangular-exponent dyadic sequence."""
     return LogReal.two_pow(-float(triangular(n)))
 
 
-def attainment_failure_probe(
-    M: DyadicOrliczFunction,
-    eta: EtaSequence,
-    depth: int,
-    t_seq: Callable[[int], LogReal] = default_probe_t,
-    alpha_threshold: LogReal | None = None,
-    search_cap: int = 5000,
-    slack_log2: float = 1e-11,
-) -> Report:
+def attainment_failure_probe(M: DyadicOrliczFunction, eta: EtaSequence, depth: int) -> Report:
     """Greedy-fill a vector, then watch the renormed truncation values v_k.
+
+    The vector is greedy_nk's along t(n) = 2^(-n(n+1)/2) (default_probe_t)
+    under the unit budget alpha = 1: the renormed value dominates the base
+    norm, so the budget keeps the base norm of every prefix at most 1.
 
     Strictly increasing v_k through the whole scan is the non-attainment
     signature; a plateau v_m = ... = v_depth with m < depth is the attainment
-    signature.  The verdict is about the scanned range only.
-
-    alpha defaults to 1: the renormed value dominates the base norm, so the
-    unit budget keeps the base norm of every prefix at most 1.
+    signature, both read within _PROBE_SLACK_LOG2.  The verdict is about the
+    scanned range only.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    alpha = alpha_threshold if alpha_threshold is not None else LogReal.one()
-    trace = greedy_nk(M, eta, alpha, t_seq, depth, search_cap=search_cap)
+    alpha = LogReal.one()
+    trace = greedy_nk(M, eta, alpha, default_probe_t, depth)
     v = trace.prefix_value_log2
     rows = []
     strict = True
     for k in range(depth):
-        rose = k == 0 or v[k] > v[k - 1] + slack_log2
+        rose = k == 0 or v[k] > v[k - 1] + _PROBE_SLACK_LOG2
         if k > 0:
             strict = strict and rose
         rows.append(
@@ -487,13 +482,13 @@ def attainment_failure_probe(
                 lhs_log2=v[k],
                 rhs_log2=alpha.log2mag,
                 margin_log2=alpha.log2mag - v[k],
-                passed=v[k] <= alpha.log2mag + slack_log2,
+                passed=v[k] <= alpha.log2mag + _PROBE_SLACK_LOG2,
                 note="rose" if rose else "flat",
             )
         )
     stabilized_at = depth
     for k in range(depth):
-        if v[k] >= v[-1] - slack_log2:
+        if v[k] >= v[-1] - _PROBE_SLACK_LOG2:
             stabilized_at = k + 1
             break
     if strict and depth > 1:

@@ -221,5 +221,4 @@ _ZERO = LogReal(0, 0.0)
 _ONE = LogReal(1, 0.0)
 
 ZERO = _ZERO
-ONE = _ONE
 

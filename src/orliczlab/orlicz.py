@@ -3,8 +3,9 @@
 A nonincreasing positive slope sequence b(0) >= b(1) >= ... > 0 determines the
 convex function M with M(0) = 0 whose derivative is b(n) on the dyadic
 interval (2^(-n-1), 2^(-n)) and b(0) above 1/2.  Breakpoint values are the
-tail sums M(2^(-n)) = sum_{j>=n} b(j) 2^(-j-1), truncated once the geometric
-remainder bound b(J) 2^(-J) is negligible relative to the partial sum.
+tail sums M(2^(-n)) = sum_{j>=n} b(j) 2^(-j-1), truncated 56 terms past the
+end of each table block: the remainder is then below 2^-56 of every entry in
+the block, under half an ulp.
 
 Everything is computed in the base-2 log domain; breakpoint tables are cached
 with at-most-once insertion and are safe for concurrent readers.
@@ -19,12 +20,17 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .logreal import LogReal, Tolerance, ZERO, log2_add, log2_sub
+from .logreal import LogReal, ZERO, log2_add, log2_sub
 
 _LN2 = math.log(2.0)
 _LOG2E = 1.0 / _LN2
 
-DEFAULT_TAIL_TOL = Tolerance(rel=1e-16)
+# Terms summed past the end of a table block.  Slopes are nonincreasing, so
+# for an entry n <= end the dropped remainder is
+#   sum_{j > end + L} b(j) 2^(-j-1) <= b(end) 2^(-end-L-1) <= 2^-L M(2^(-end)),
+# using M(2^(-end)) >= b(end) 2^(-end-1); and M(2^(-end)) <= M(2^(-n)).  With
+# L = 56 that is below 2^-56 of the block's smallest breakpoint value.
+_LOOKAHEAD = 56
 
 # Hard cap on breakpoint table depth; beyond this the caller is asking for
 # scales this laboratory is not meant to reach.
@@ -42,20 +48,12 @@ class SlopeSequenceError(ValueError):
 class SlopeSequence:
     """Accessor for a nonincreasing, strictly positive slope sequence.
 
-    kind is one of 'list', 'pow2_poly', 'counterexample' or 'custom'; the
-    accessor must be defined for every n >= 0.
+    The accessor must be defined for every n >= 0; `source` is the object
+    that generated it, if any (the CLI reads it for the counterexample).
     """
 
-    def __init__(
-        self,
-        log2_fn: Callable[[int], float],
-        kind: str = "custom",
-        label: str = "",
-        source: object | None = None,
-    ):
+    def __init__(self, log2_fn: Callable[[int], float], source: object | None = None):
         self._log2_fn = log2_fn
-        self.kind = kind
-        self.label = label or kind
         self.source = source
 
     def log2_slope(self, n: int) -> float:
@@ -99,7 +97,7 @@ def slopes_from_list(values: Sequence[LogReal]) -> SlopeSequence:
     def fn(n: int) -> float:
         return logs[n] if n < len(logs) else tail
 
-    seq = SlopeSequence(fn, kind="list", label=f"list[{len(logs)}]")
+    seq = SlopeSequence(fn)
     seq.validate(len(logs))
     return seq
 
@@ -112,7 +110,7 @@ def slopes_pow2_poly(a: float, b: float, c: float) -> SlopeSequence:
     def fn(n: int) -> float:
         return -(a * n * n + b * n + c)
 
-    seq = SlopeSequence(fn, kind="pow2_poly", label=f"pow2_poly(a={a},b={b},c={c})")
+    seq = SlopeSequence(fn)
     seq.validate(8)
     return seq
 
@@ -135,19 +133,15 @@ def squares_slopes() -> SlopeSequence:
 class DyadicOrliczFunction:
     """Piecewise-linear convex M built from a dyadic slope sequence."""
 
-    def __init__(self, slopes: SlopeSequence, tail_tol: Tolerance = DEFAULT_TAIL_TOL):
-        slopes.validate(min(64, _MAX_TABLE_DEPTH))
+    def __init__(self, slopes: SlopeSequence):
         self.slopes = slopes
-        self.tail_tol = tail_tol
-        # slopes are nonincreasing, so sum_{j>J} b(j) 2^(-j-1) <= b(J') 2^(-J)
-        # for any J' <= J; `lookahead` extra terms push the relative remainder
-        # below tail_tol.rel regardless of the slopes.
-        self._lookahead = max(8, int(math.ceil(-math.log2(tail_tol.rel))) + 2)
         self._lock = threading.Lock()
         # published tables are replaced, never mutated, so readers need no lock
         self._logb: list[float] = []   # log2 b(n)
         self._logM: list[float] = []   # log2 M(2^(-n))
         self._depth = -1
+        # the first block reads b(0 .. 8 + _LOOKAHEAD) and checks them, so a
+        # bad slope sequence raises here
         self._ensure_depth(8)
 
     # -- breakpoint tables ---------------------------------------------------
@@ -156,7 +150,7 @@ class DyadicOrliczFunction:
         """Extend cached tables so logM[0..depth] and logb[0..depth] exist.
 
         They grow in fixed blocks [0, 8], (8, 16], (16, 32], ... (capped at
-        _MAX_TABLE_DEPTH), each summing its own tail from its end + lookahead,
+        _MAX_TABLE_DEPTH), each summing its own tail from its end + _LOOKAHEAD,
         so no entry depends on the depths requested before."""
         if depth <= self._depth:
             return
@@ -166,7 +160,7 @@ class DyadicOrliczFunction:
             while self._depth < depth:
                 first = self._depth + 1
                 end = min(2 * max(self._depth, 4), _MAX_TABLE_DEPTH)
-                hi = end + self._lookahead
+                hi = end + _LOOKAHEAD
                 logb_ext = [self.slopes.log2_slope(n) for n in range(first, hi + 1)]
                 # monotonicity across the extension seam and inside the new window
                 _check_log2_slopes(logb_ext, first, self._logb[-1] if self._logb else math.inf)
@@ -257,9 +251,9 @@ class DyadicOrliczFunction:
         return LogReal.from_log2(self.inverse_log2(y.log2mag))
 
 
-def make_dyadic_plf(slopes: SlopeSequence, tail_tol: Tolerance = DEFAULT_TAIL_TOL) -> DyadicOrliczFunction:
+def make_dyadic_plf(slopes: SlopeSequence) -> DyadicOrliczFunction:
     """Build the piecewise-linear convex function induced by a slope sequence."""
-    return DyadicOrliczFunction(slopes, tail_tol)
+    return DyadicOrliczFunction(slopes)
 
 
 # -- ratio scans ----------------------------------------------------------------
@@ -460,6 +454,9 @@ def parse_key_values(text: str) -> dict[str, str]:
     return out
 
 
+_SPEC_KEYS = {"list": ("slopes",), "pow2_poly": ("a", "b", "c"), "counterexample": ("depth",)}
+
+
 def parse_function_spec(text: str) -> DyadicOrliczFunction:
     """Build a function from its plain-text spec.
 
@@ -472,29 +469,29 @@ def parse_function_spec(text: str) -> DyadicOrliczFunction:
         a = <real>; b = <real>; c = <real>
         # kind = counterexample
         depth = <int>
-        # any kind
-        tail_rel = <real>
+
+    A key that the kind does not read raises ValueError.
     """
     kv = parse_key_values(text)
-    kind = kv.get("kind")
+    kind = kv.pop("kind", None)
     if kind is None:
         raise ValueError("function spec is missing 'kind'")
-    tail = DEFAULT_TAIL_TOL
-    if "tail_rel" in kv:
-        tail = Tolerance(rel=float(kv["tail_rel"]))
+    keys = _SPEC_KEYS.get(kind)
+    if keys is None:
+        raise ValueError(f"unknown function kind {kind!r}")
+    for key in kv:
+        if key not in keys:
+            raise ValueError(f"kind = {kind} does not read the key {key!r}")
     if kind == "list":
         if "slopes" not in kv:
             raise ValueError("kind = list needs a 'slopes' entry")
         values = [LogReal.parse(tok) for tok in kv["slopes"].split()]
-        return make_dyadic_plf(slopes_from_list(values), tail)
+        return make_dyadic_plf(slopes_from_list(values))
     if kind == "pow2_poly":
         a = float(kv.get("a", "0"))
         b = float(kv.get("b", "0"))
         c = float(kv.get("c", "0"))
-        return make_dyadic_plf(slopes_pow2_poly(a, b, c), tail)
-    if kind == "counterexample":
-        from .counterexample import gen_sequences
+        return make_dyadic_plf(slopes_pow2_poly(a, b, c))
+    from .counterexample import gen_sequences
 
-        depth = int(kv.get("depth", "40"))
-        return gen_sequences(depth).make_function(tail)
-    raise ValueError(f"unknown function kind {kind!r}")
+    return gen_sequences(int(kv.get("depth", "40"))).make_function()

@@ -406,16 +406,18 @@ class TestBuildNormingFamily:
             build_norming_family(triple_oracle, 4, eps=0.2)
 
     @pytest.mark.parametrize("oracle_name, dim, eps, net, want", [
+        ("l1", 1, 0.3, 2, 1),
         ("l1", 2, 0.3, 7, 49), ("l1", 2, 0.2, 8, 50), ("l1", 3, 0.3, 16, 81),
         ("l2", 2, 0.3, 7, 2 + 32 + 7 * (1 + 2 * 2)), ("l2", 2, 0.2, 8, 2 + 32 + 8 + 4 * 4),
-    ], ids=["2-0.3-7", "2-0.2-8", "3-0.3-16", "l2-2-0.3-7", "l2-2-0.2-8"])
+    ], ids=["1-0.3-2", "2-0.3-7", "2-0.2-8", "3-0.3-16", "l2-2-0.3-7", "l2-2-0.2-8"])
     def test_oracle_calls(self, oracle_name, dim, eps, net, want):
-        """dim unit checks, one call per validation sample, one norm per net
-        direction, and 2 dim finite differences per direction that no kept
-        functional attains; every family here passes on the first net.  The
-        strictly convex l2 attains nowhere but at the normal's own direction:
-        on the odd 7-direction net no direction is skipped, on the even
-        8-direction net every antipode is."""
+        """dim unit checks; in dim 1 nothing more, as the family is +-||e_1||
+        read off the unit check.  From dim 2 on, one call per validation
+        sample, one norm per net direction, and 2 dim finite differences per
+        direction that no kept functional attains; every family here passes
+        on the first net.  The strictly convex l2 attains nowhere but at the
+        normal's own direction: on the odd 7-direction net no direction is
+        skipped, on the even 8-direction net every antipode is."""
         oracle = {"l1": l1_oracle, "l2": l2_oracle}[oracle_name]
         calls = []
 
@@ -560,20 +562,21 @@ class TestRhoEval:
         with pytest.raises(ValueError):
             NormingLevel(1, [w], eps=0.5, eta=0.4)  # needs eta > eps
 
-    def test_family_serialization_roundtrip(self, triple_oracle):
-        from orliczlab import parse_norming_family
-
+    def test_family_render(self, triple_oracle):
+        """Each `w` line lists repr(c * scale) of one functional, under the
+        header of its level, in the family's order."""
         fam = assemble_norming_family(
             triple_oracle, eps=[0.3, 0.35], eta=[0.6, 0.5], seed=21
         )
-        back = parse_norming_family(fam.render())
-        assert back.top_level == fam.top_level
-        rng = random.Random(22)
-        for _ in range(30):
-            x = FiniteVector.from_floats([rng.uniform(-1, 1), rng.uniform(-1, 1)])
-            assert rho_eval(back, x).to_float() == pytest.approx(
-                rho_eval(fam, x).to_float(), rel=1e-12, abs=1e-300
-            )
+        assert [lvl.level for lvl in fam.levels] == [1, 2]
+        lines = iter(fam.render().splitlines())
+        for lvl in fam.levels:
+            assert next(lines) == f"level {lvl.level} eps = {lvl.eps!r} eta = {lvl.eta!r}"
+            for w in lvl.functionals:
+                head, coeffs = next(lines).split(" = ")
+                assert head == f"w {lvl.level}"
+                assert coeffs.split() == [repr(c * w.scale) for c in w.coefficients]
+        assert next(lines, None) is None
 
 
 class TestPreciselyNorming:

@@ -121,6 +121,12 @@ class TestErrors:
         code = main(["norm", "--function", str(bad), "--vector", str(bad)])
         assert code == EXIT_USAGE
 
+    def test_unknown_function_key(self, tmp_path):
+        bad = tmp_path / "bad.fn"
+        bad.write_text("kind = pow2_poly\na = 1\ntail_rel = 1e-16\n", encoding="utf-8")
+        code = main(["cq", "--function", str(bad)])
+        assert code == EXIT_USAGE
+
     def test_claims_needs_counterexample_kind(self, files):
         code = main(["claims", "--function", files["ident.fn"], "--depth", "10"])
         assert code == EXIT_USAGE

@@ -347,10 +347,9 @@ class TestGreedy:
         ident = make_dyadic_plf(identity_slopes())
         # a non-null t-sequence can never satisfy a small budget
         stuck = lambda n: LogReal.from_float(0.5)
-        with pytest.raises(GreedySearchError):
-            greedy_nk(
-                ident, eta_pow2, LogReal.from_float(0.01), stuck, 2, search_cap=50
-            )
+        with pytest.raises(GreedySearchError) as err:
+            greedy_nk(ident, eta_pow2, LogReal.from_float(0.01), stuck, 2)
+        assert err.value.n_reached == 5002
 
     def test_alpha_validation(self, M_ce, eta_pow2):
         with pytest.raises(ValueError):

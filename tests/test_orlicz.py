@@ -8,6 +8,7 @@ import mpmath as mp
 import pytest
 
 from orliczlab import (
+    CounterexampleSequences,
     LogReal,
     RatioReport,
     SlopeSequenceError,
@@ -111,6 +112,14 @@ class TestEvalContract:
             with mp.workdps(MP_DPS):
                 want = mp.log(mp_breakpoint(log2b, n), 2)
             assert squares.breakpoint_log2(n) == pytest.approx(float(want), rel=1e-13, abs=1e-10)
+        # slowly falling slopes put the most weight past each block's end, so
+        # these fail when the tail sums stop too few terms past it
+        for slopes in (identity_slopes(), slopes_pow2_poly(0.0, 0.01, 0.0)):
+            M = make_dyadic_plf(slopes)
+            for n in range(21):
+                with mp.workdps(MP_DPS):
+                    want = mp.log(mp_breakpoint(slopes.log2_slope, n), 2)
+                assert abs(M.breakpoint_log2(n) - float(want)) <= 2.0**-44, n
         # off-breakpoint points, including above 1
         for t in (0.7, 1.3, 5.0, 0.2, 0.015):
             n = max(0, int(math.floor(-math.log2(t))))
@@ -324,7 +333,7 @@ class TestRatioInf:
                     steps = int((u_top - u_low) * per_octave)
                     dense = [u_top - (u_top - u_low) * i / steps for i in range(steps + 1)]
                     low = min(M.eval_log2(u + logK) - M.eval_log2(u) for u in dense)
-                    assert rep.infimum.log2mag <= low + 1e-12, (M.slopes.label, K, t_max)
+                    assert rep.infimum.log2mag <= low + 1e-12, f"gauge {gauges.index(M)} K={K} t_max={t_max}"
                     # the infimum is the ratio at a grid point
                     (u_inf,) = rep.arg_inf
                     at_inf = M.eval_log2(u_inf + logK) - M.eval_log2(u_inf)
@@ -421,7 +430,7 @@ class TestFunctionSpecs:
 
     def test_counterexample_spec(self):
         M = parse_function_spec("kind = counterexample\ndepth = 8\n")
-        assert M.slopes.kind == "counterexample"
+        assert isinstance(M.slopes.source, CounterexampleSequences)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -434,8 +443,17 @@ class TestFunctionSpecs:
             parse_function_spec("just some text\n")
 
     def test_comments_and_tail(self):
-        M = parse_function_spec("# header\nkind = pow2_poly  # family\na = 0\ntail_rel = 1e-12\n")
-        assert M.tail_tol.rel == 1e-12
+        M = parse_function_spec("# header\nkind = pow2_poly  # family\na = 0\n\n# tail\n")
+        ref = make_dyadic_plf(identity_slopes())
+        assert M.segment_tables(40) == ref.segment_tables(40)
+
+    @pytest.mark.parametrize("text, key", [
+        ("kind = pow2_poly\na = 1\ntail_rel = 1e-16\n", "tail_rel"),
+        ("kind = pow2_poly\nslopes = 1\n", "slopes"),
+    ])
+    def test_unknown_keys_rejected(self, text, key):
+        with pytest.raises(ValueError, match=f"does not read the key '{key}'"):
+            parse_function_spec(text)
 
 
 class TestConcurrentCache:
