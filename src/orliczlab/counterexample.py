@@ -11,7 +11,8 @@ The slope sequence is assembled from four auxiliary sequences:
 The b-indexing is a bijection onto the nonnegative integers: row n covers
 exactly [s(n) + 1, s(n + 1)].  The induced piecewise-linear function has
 M(2^m t(n)) / M(t(n)) bounded in n for every fixed m, which is what the
-greedy probe below exercises.
+greedy probe below exercises.  Every check, and the greedy's budget, is
+decided exactly on the float log2 values, with no tolerance.
 """
 
 from __future__ import annotations
@@ -22,14 +23,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .logreal import LogReal, log2_add
-from .orlicz import DyadicOrliczFunction, SlopeSequence, make_dyadic_plf
+from .orlicz import _MAX_TABLE_DEPTH, DyadicOrliczFunction, SlopeSequence, make_dyadic_plf
 from .renorm import EtaSequence
 from .reports import CheckRow, Report
 from .vectors import _norm_log2
 
 _LOG2E = 1.0 / math.log(2.0)
-
-DEFAULT_SLACK_LOG2 = 1e-9
 
 
 def triangular(n: int) -> int:
@@ -60,6 +59,9 @@ class CounterexampleSequences:
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
         self.depth = depth
+        # no breakpoint table can read slopes past its cap
+        if self.max_b_index() > _MAX_TABLE_DEPTH:
+            raise ValueError(f"depth {depth} reaches b({self.max_b_index()}), past the table cap")
         self._c_factor = c_factor
         self._log2_c: list[float] = [0.0]
         self._lock = threading.Lock()
@@ -135,7 +137,7 @@ class CounterexampleSequences:
         prev_a = math.inf
         for j in range(0, 2 * self.depth + 2):
             a = self.log2_alpha(j)
-            if a > prev_a + 1e-15:
+            if a > prev_a:
                 raise AssertionError(f"alpha increases at {j}")
             prev_a = a
         if self.log2_alpha(0) != 0.0 or self.log2_alpha(2) != 0.0:
@@ -143,7 +145,7 @@ class CounterexampleSequences:
         prev_c = math.inf
         for j in range(0, self.depth + 2):
             cj = self.log2_c(j)
-            if cj > prev_c + 1e-12:
+            if cj > prev_c:
                 raise AssertionError(f"c increases at {j}")
             prev_c = cj
         for i in range(2, min(self.max_b_index(), 500) + 1):
@@ -164,7 +166,6 @@ def verify_claims(
     seqs: CounterexampleSequences,
     j_max: int,
     K_list: list[int],
-    slack_log2: float = DEFAULT_SLACK_LOG2,
 ) -> Report:
     """Check the three structural facts about the slope sequence.
 
@@ -173,7 +174,8 @@ def verify_claims(
     claim3: per K, the grid supremum of b(m+n) K^m / b(n) together with the
     two supporting scans: row maxima of b(s_i + k) K^(s_i + k) must fall off
     after an interior peak, and alpha(m) K^m must peak strictly inside the
-    scanned m-range.
+    scanned m-range.  The comparisons are exact; claim1 and claim2 at m = 0
+    compare values built by the same expressions, so their margins are 0.
     """
     if j_max < 3:
         raise ValueError(f"j_max must be >= 3, got {j_max}")
@@ -186,20 +188,14 @@ def verify_claims(
     for i in range(j_max):
         lhs = lb[i + 1]
         rhs = lb[i]
-        rows.append(
-            CheckRow("claim1-monotone", (i,), lhs, rhs, rhs - lhs, lhs <= rhs + slack_log2)
-        )
+        rows.append(CheckRow("claim1-monotone", (i,), lhs, rhs, rhs - lhs, lhs <= rhs))
 
     for n in range(2, j_max + 1):
         bn = lb[n]
         for m in range(0, j_max - n + 1):
             lhs = lb[m + n]
             rhs = la[m] + bn
-            rows.append(
-                CheckRow(
-                    "claim2-alpha-shift", (m, n), lhs, rhs, rhs - lhs, lhs <= rhs + slack_log2
-                )
-            )
+            rows.append(CheckRow("claim2-alpha-shift", (m, n), lhs, rhs, rhs - lhs, lhs <= rhs))
 
     for K in K_list:
         logK = math.log2(K)
@@ -225,8 +221,8 @@ def verify_claims(
             u.append(max(lb[si + k] + m_logK[si + k] for k in range(1, i + 2)))
             i += 1
         peak = max(range(len(u)), key=lambda idx: u[idx])
-        falls = all(u[idx + 1] < u[idx] + slack_log2 for idx in range(peak, len(u) - 1))
-        ok = peak < len(u) - 1 and falls and u[-1] < u[peak]
+        falls = all(u[idx + 1] < u[idx] for idx in range(peak, len(u) - 1))
+        ok = peak < len(u) - 1 and falls
         rows.append(
             CheckRow(
                 check="claim3-row-decay",
@@ -242,8 +238,7 @@ def verify_claims(
         a_vals = [la[mm] + m_logK[mm] for mm in range(0, j_max)]
         a_peak = max(range(len(a_vals)), key=lambda idx: a_vals[idx])
         a_ok = a_peak < len(a_vals) - 1 and all(
-            a_vals[idx + 1] <= a_vals[idx] + slack_log2
-            for idx in range(a_peak, len(a_vals) - 1)
+            a_vals[idx + 1] <= a_vals[idx] for idx in range(a_peak, len(a_vals) - 1)
         )
         rows.append(
             CheckRow(
@@ -270,7 +265,6 @@ def ratio_bound_check(
     M: DyadicOrliczFunction,
     m: int,
     n_max: int,
-    slack_log2: float = DEFAULT_SLACK_LOG2,
 ) -> Report:
     """For m < n <= n_max verify M(2^m t(n))/M(t(n)) <= 2^(m+1)/alpha(m),
     that the ratio is >= 1, and the identity b(s(n) - m) = c(n)/alpha(m)."""
@@ -288,7 +282,7 @@ def ratio_bound_check(
                 lhs_log2=ratio,
                 rhs_log2=bound,
                 margin_log2=bound - ratio,
-                passed=ratio <= bound + slack_log2,
+                passed=ratio <= bound,
             )
         )
         rows.append(
@@ -298,7 +292,7 @@ def ratio_bound_check(
                 lhs_log2=0.0,
                 rhs_log2=ratio,
                 margin_log2=ratio,
-                passed=ratio >= -slack_log2,
+                passed=ratio >= 0.0,
             )
         )
         ident_lhs = seqs.log2_b(sn - m)
@@ -310,7 +304,7 @@ def ratio_bound_check(
                 lhs_log2=ident_lhs,
                 rhs_log2=ident_rhs,
                 margin_log2=abs(ident_lhs - ident_rhs),
-                passed=abs(ident_lhs - ident_rhs) <= slack_log2,
+                passed=ident_lhs == ident_rhs,
             )
         )
     failures = sum(not r.passed for r in rows)
@@ -366,10 +360,11 @@ def greedy_nk(
     """Smallest-index greedy fill-in under the weighted-norm budget.
 
     Step k picks the least n >= n_{k-1} with
-    eta_k * |prefix + t(n) e_k| <= alpha; existence is guaranteed for null
-    t-sequences because eta strictly decreases, and the scan raises
-    GreedySearchError once more than _SEARCH_CAP candidates failed at one
-    step instead of looping.
+    eta_k * |prefix + t(n) e_k| <= alpha, compared exactly, so no accepted
+    step is over budget; existence is guaranteed for null t-sequences
+    because eta strictly decreases, and the scan raises GreedySearchError
+    once more than _SEARCH_CAP candidates failed at one step instead of
+    looping.
 
     Each accepted coordinate is <= every earlier one, so the prefix is its own
     rearrangement and the new renormed value is max(previous value,
@@ -379,7 +374,6 @@ def greedy_nk(
         raise ValueError(f"alpha threshold must be positive, got {alpha_threshold}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    slack = 1e-12
     alpha_log2 = alpha_threshold.log2mag
     chosen: list[int] = []
     coords_log2: list[float] = []
@@ -396,17 +390,17 @@ def greedy_nk(
         if chosen:
             single = eta.log2(1) + _single_norm_log2(M, t_seq(chosen[-1]).log2mag)
             bound = eta.log2(k) + log2_add(prev_value, single)
-            force_same = bound <= alpha_log2 + slack
+            force_same = bound <= alpha_log2
         count = 0
         while True:
             t_n = t_seq(n)
             if t_n.sign <= 0:
                 raise ValueError(f"t({n}) must be positive, got {t_n}")
             cand = coords_log2 + [t_n.log2mag]
-            if len(cand) >= 2 and cand[-1] > cand[-2] + 1e-12:
+            if len(cand) >= 2 and cand[-1] > cand[-2]:
                 raise ValueError("t-sequence must be nonincreasing along the scan")
             new_value = max(prev_value, eta.log2(k) + _norm_log2(M, cand))
-            if eta.log2(k) + new_value <= alpha_log2 + slack:
+            if eta.log2(k) + new_value <= alpha_log2:
                 break
             n += 1
             count += 1
@@ -440,13 +434,6 @@ PROBE_STABILIZED = "stabilized"
 PROBE_INCONCLUSIVE = "inconclusive"
 
 
-# The probe's modelling band, in log2: v_k "rose" when it exceeds v_(k-1) by
-# more than this, the plateau starts at the first v_k within it of the last
-# value, and a row passes when v_k is at most the budget plus it.  It names
-# what the probe counts as flat; it is not derived from a rounding bound.
-_PROBE_SLACK_LOG2 = 1e-11
-
-
 def default_probe_t(n: int) -> LogReal:
     """t(n) = 2^(-n(n+1)/2), the triangular-exponent dyadic sequence."""
     return LogReal.two_pow(-float(triangular(n)))
@@ -461,8 +448,10 @@ def attainment_failure_probe(M: DyadicOrliczFunction, eta: EtaSequence, depth: i
 
     Strictly increasing v_k through the whole scan is the non-attainment
     signature; a plateau v_m = ... = v_depth with m < depth is the attainment
-    signature, both read within _PROBE_SLACK_LOG2.  The verdict is about the
-    scanned range only.
+    signature.  v_k is a running max read exactly: it "rose" when
+    v_k > v_(k-1), and the plateau starts at the first v_k == v_depth; the
+    exact budget keeps every v_k <= alpha.  The verdict is about the scanned
+    range only.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -472,7 +461,7 @@ def attainment_failure_probe(M: DyadicOrliczFunction, eta: EtaSequence, depth: i
     rows = []
     strict = True
     for k in range(depth):
-        rose = k == 0 or v[k] > v[k - 1] + _PROBE_SLACK_LOG2
+        rose = k == 0 or v[k] > v[k - 1]
         if k > 0:
             strict = strict and rose
         rows.append(
@@ -482,13 +471,13 @@ def attainment_failure_probe(M: DyadicOrliczFunction, eta: EtaSequence, depth: i
                 lhs_log2=v[k],
                 rhs_log2=alpha.log2mag,
                 margin_log2=alpha.log2mag - v[k],
-                passed=v[k] <= alpha.log2mag + _PROBE_SLACK_LOG2,
+                passed=v[k] <= alpha.log2mag,
                 note="rose" if rose else "flat",
             )
         )
     stabilized_at = depth
     for k in range(depth):
-        if v[k] >= v[-1] - _PROBE_SLACK_LOG2:
+        if v[k] == v[-1]:
             stabilized_at = k + 1
             break
     if strict and depth > 1:

@@ -194,7 +194,7 @@ def test_c06_claims(seqs):
     """Structural claims hold at j_max 40 for K in {2,4,8,16}; a corrupted
     c-recursion is caught with a witness."""
     start = time.perf_counter()
-    rep = verify_claims(seqs, 40, [2, 4, 8, 16], slack_log2=1e-9)
+    rep = verify_claims(seqs, 40, [2, 4, 8, 16])
     bad = CounterexampleSequences(20, c_factor=2.0, validate=False)
     rep_bad = verify_claims(bad, 20, [2])
     witnessed = rep_bad.summary["failures"] > 0 and "first-witness" in rep_bad.summary
@@ -213,7 +213,7 @@ def test_c07_tail_ratio_bound(seqs, M_ce):
     total_failures = 0
     checks = 0
     for m in range(0, 7):
-        rep = ratio_bound_check(seqs, M_ce, m, 12, slack_log2=1e-9)
+        rep = ratio_bound_check(seqs, M_ce, m, 12)
         total_failures += rep.summary["failures"]
         checks += rep.summary["checks"]
     elapsed = time.perf_counter() - start

@@ -127,6 +127,12 @@ class TestErrors:
         code = main(["cq", "--function", str(bad)])
         assert code == EXIT_USAGE
 
+    def test_counterexample_depth_past_table_cap(self, tmp_path):
+        deep = tmp_path / "deep.fn"
+        deep.write_text("kind = counterexample\ndepth = 2827\n", encoding="utf-8")
+        code = main(["claims", "--function", str(deep), "--depth", "10"])
+        assert code == EXIT_USAGE
+
     def test_claims_needs_counterexample_kind(self, files):
         code = main(["claims", "--function", files["ident.fn"], "--depth", "10"])
         assert code == EXIT_USAGE

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import astuple
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from orliczlab import (
     GreedySearchError,
     LogReal,
     gen_sequences,
+    geometric_slopes,
     greedy_nk,
     identity_slopes,
     luxemburg_norm,
@@ -22,7 +24,6 @@ from orliczlab import (
     verify_claims,
 )
 from orliczlab.counterexample import (
-    DEFAULT_SLACK_LOG2,
     attainment_failure_probe,
     default_probe_t,
     row_of_index,
@@ -102,6 +103,15 @@ class TestSequences:
         with pytest.raises(ValueError):
             gen_sequences(0)
 
+    def test_depth_limited_by_table_cap(self):
+        # max_b_index(2826) = 3 997 378 fits the 4 000 000-entry table cap;
+        # 2827 reaches b(4 000 206) and is refused before any table is built
+        assert gen_sequences(2826).max_b_index() == 3_997_378
+        with pytest.raises(ValueError, match="past the table cap"):
+            gen_sequences(2827)
+        with pytest.raises(ValueError, match="past the table cap"):
+            CounterexampleSequences(10**8, validate=False)
+
     def test_memo_tables_concurrent_reads(self):
         import threading
 
@@ -142,7 +152,7 @@ class TestClaims:
         assert rows
         for r in rows:
             assert r.passed
-            assert r.margin_log2 == pytest.approx(0.0, abs=1e-12)
+            assert r.margin_log2 == 0.0
 
     def test_corrupted_c_fails_with_witness(self):
         bad = CounterexampleSequences(20, c_factor=2.0, validate=False)
@@ -189,20 +199,20 @@ class TestClaims:
             verify_claims(seqs, 2, [2])
 
 
-def _claims_per_call(seqs, j_max, K_list, slack_log2):
+def _claims_per_call(seqs, j_max, K_list):
     """verify_claims with a seqs.log2_b / seqs.log2_alpha call per term."""
     rows = []
     summary = {}
     for i in range(j_max):
         lhs = seqs.log2_b(i + 1)
         rhs = seqs.log2_b(i)
-        rows.append(CheckRow("claim1-monotone", (i,), lhs, rhs, rhs - lhs, lhs <= rhs + slack_log2))
+        rows.append(CheckRow("claim1-monotone", (i,), lhs, rhs, rhs - lhs, lhs <= rhs))
     for n in range(2, j_max + 1):
         for m in range(0, j_max - n + 1):
             lhs = seqs.log2_b(m + n)
             rhs = seqs.log2_alpha(m) + seqs.log2_b(n)
             rows.append(
-                CheckRow("claim2-alpha-shift", (m, n), lhs, rhs, rhs - lhs, lhs <= rhs + slack_log2)
+                CheckRow("claim2-alpha-shift", (m, n), lhs, rhs, rhs - lhs, lhs <= rhs)
             )
     for K in K_list:
         logK = math.log2(K)
@@ -223,8 +233,8 @@ def _claims_per_call(seqs, j_max, K_list, slack_log2):
             u.append(max(seqs.log2_b(si + k) + (si + k) * logK for k in range(1, i + 2)))
             i += 1
         peak = max(range(len(u)), key=lambda idx: u[idx])
-        falls = all(u[idx + 1] < u[idx] + slack_log2 for idx in range(peak, len(u) - 1))
-        ok = peak < len(u) - 1 and falls and u[-1] < u[peak]
+        falls = all(u[idx + 1] < u[idx] for idx in range(peak, len(u) - 1))
+        ok = peak < len(u) - 1 and falls
         rows.append(
             CheckRow("claim3-row-decay", (K, peak + 1), u[-1], u[peak], u[peak] - u[-1], ok,
                      f"rows scanned: {len(u)}")
@@ -232,7 +242,7 @@ def _claims_per_call(seqs, j_max, K_list, slack_log2):
         a_vals = [seqs.log2_alpha(mm) + mm * logK for mm in range(0, j_max)]
         a_peak = max(range(len(a_vals)), key=lambda idx: a_vals[idx])
         a_ok = a_peak < len(a_vals) - 1 and all(
-            a_vals[idx + 1] <= a_vals[idx] + slack_log2 for idx in range(a_peak, len(a_vals) - 1)
+            a_vals[idx + 1] <= a_vals[idx] for idx in range(a_peak, len(a_vals) - 1)
         )
         rows.append(
             CheckRow("claim3-alpha-bounded", (K, a_peak), a_vals[-1], a_vals[a_peak],
@@ -266,7 +276,7 @@ class TestClaimsTabulated:
     @staticmethod
     def _assert_same(seqs, j_max, K_list):
         rep = verify_claims(seqs, j_max, K_list)
-        rows, summary = _claims_per_call(seqs, j_max, K_list, DEFAULT_SLACK_LOG2)
+        rows, summary = _claims_per_call(seqs, j_max, K_list)
         assert rep.rows == rows
         assert rep.summary == summary
         assert list(rep.summary) == list(summary)
@@ -290,13 +300,16 @@ class TestRatioBound:
         ident_rows = [r for r in rep.rows if r.check == "shifted-slope-identity"]
         assert len(ident_rows) == 9
         for r in ident_rows:
-            assert r.margin_log2 <= 1e-9
+            assert r.margin_log2 == 0.0
 
     def test_ratios_at_least_one(self, seqs, M_ce):
         for m in range(0, 5):
             rep = ratio_bound_check(seqs, M_ce, m, 10)
             rows = [r for r in rep.rows if r.check == "tail-ratio-at-least-one"]
             assert all(r.passed for r in rows)
+            if m == 0:
+                # M(t(n)) / M(t(n)) is exactly 1
+                assert all(r.margin_log2 == 0.0 for r in rows)
 
     def test_needs_n_beyond_m(self, seqs, M_ce):
         with pytest.raises(ValueError):
@@ -320,7 +333,7 @@ class TestGreedy:
             assert b >= a
         # the weighted budget holds at every step
         for margin in trace.budget_margin_log2:
-            assert margin >= -1e-11
+            assert margin >= 0.0
         # minimality consequence: triangle-bound implication checked per step
         assert all(trace.stabilization_checks)
         # prefix values never exceed the budget, so base norms stay <= 1
@@ -356,6 +369,61 @@ class TestGreedy:
             greedy_nk(M_ce, eta_pow2, LogReal.zero(), default_probe_t, 3)
 
 
+def _exact_segment(t):
+    """n >= 0 with t in (2^(-n-1), 2^-n]; segment 0 extends past 1."""
+    n = 0
+    while t * 2 ** (n + 1) <= 1:
+        n += 1
+    return n
+
+
+def _exact_geometric_norm(counts):
+    """Luxemburg norm of {t(n): multiplicity} under b(n) = 2^-n, in fractions.
+
+    On segment n, M(t) = b(n) t + c(n) with c(n) = -4^-n / 3.  The modular
+    sum F(s) = sum M(x s) is convex and piecewise linear in s = 1/rho, so
+    Newton steps along the segment lines at each x s reach the root
+    F(s) = 1 exactly, from the right after the first step.
+    """
+    xs = [(Fraction(1, 2 ** triangular(n)), mult) for n, mult in counts.items()]
+    s = 1 / max(x for x, _ in xs)
+    while True:
+        segs = [(x, mult, _exact_segment(x * s)) for x, mult in xs]
+        slope = sum(mult * x / 2**seg for x, mult, seg in segs)
+        offset = sum(Fraction(mult, 3 * 4**seg) for _, mult, seg in segs)
+        if slope * s - offset == 1:
+            return 1 / s
+        s = (1 + offset) / slope
+
+
+def _exact_l1_norm(counts):
+    return sum(mult * Fraction(1, 2 ** triangular(n)) for n, mult in counts.items())
+
+
+def _exact_greedy(norm, depth):
+    """greedy_nk's rule in fractions: eta_k = 1 + 2^-k, alpha = 1, t = 2^(-s(n)).
+
+    v_k = max(v_(k-1), eta_k |head k|) and step k takes the least n >= n_(k-1)
+    with eta_k v_k <= 1.
+    """
+    chosen = []
+    counts = {}
+    v = Fraction(0)
+    n = 1
+    for k in range(1, depth + 1):
+        eta = 1 + Fraction(1, 2**k)
+        while True:
+            cand = dict(counts)
+            cand[n] = cand.get(n, 0) + 1
+            new_v = max(v, eta * norm(cand))
+            if eta * new_v <= 1:
+                break
+            n += 1
+        chosen.append(n)
+        counts, v = cand, new_v
+    return chosen
+
+
 class TestProbe:
     def test_depth_one_trivially_stabilized(self, M_ce, eta_pow2):
         rep = attainment_failure_probe(M_ce, eta_pow2, 1)
@@ -382,6 +450,28 @@ class TestProbe:
     def test_values_within_budget(self, M_ce, eta_pow2):
         rep = attainment_failure_probe(M_ce, eta_pow2, 20)
         assert all(r.passed for r in rep.rows)
+
+    @pytest.mark.parametrize(
+        "slopes, norm, depth",
+        [(identity_slopes, _exact_l1_norm, 120), (geometric_slopes, _exact_geometric_norm, 90)],
+        ids=["identity", "geometric"],
+    )
+    def test_greedy_matches_rational_greedy(self, eta_pow2, slopes, norm, depth):
+        # the budget is decided exactly, so no step accepts a candidate the
+        # fractions greedy rejects (identity: step 61 takes t(6), not t(5);
+        # geometric: step 84 takes t(4), not t(3))
+        rep = attainment_failure_probe(make_dyadic_plf(slopes()), eta_pow2, depth)
+        assert rep.summary["chosen"] == _exact_greedy(norm, depth)
+        for r in rep.rows:
+            assert r.passed == (r.margin_log2 >= 0)
+
+    def test_geometric_step84_prefix_has_norm_one(self):
+        # 5 t(1) + 15 t(2) + 64 t(3): modular 5/6 + 5/32 + 1/96 = 1 at rho = 1,
+        # so eta_84 * value > 1 and a t(3) at step 84 is over budget
+        M = lambda n: Fraction(2, 3) / 4 ** triangular(n)
+        assert 5 * M(1) + 15 * M(2) + 64 * M(3) == 1
+        assert 5 * M(1) == Fraction(5, 6) and 15 * M(2) == Fraction(5, 32)
+        assert _exact_geometric_norm({1: 5, 2: 15, 3: 64}) == 1
 
     def test_depth30_plateau_against_mpmath(self, M_ce, eta_pow2):
         # the c08 fixture (depth 30, eta_k = 1 + 2^-k, alpha = 1) plateaus
