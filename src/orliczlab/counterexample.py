@@ -22,7 +22,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-from .logreal import LogReal, log2_add
+from .logreal import LogReal
 from .orlicz import _MAX_TABLE_DEPTH, DyadicOrliczFunction, SlopeSequence, make_dyadic_plf
 from .renorm import EtaSequence
 from .reports import CheckRow, Report
@@ -48,25 +48,21 @@ def row_of_index(i: int) -> tuple[int, int]:
 
 
 class CounterexampleSequences:
-    """Memoized accessors for alpha, c, s, b and t.
+    """Memoized log2 accessors for alpha, c, s and b.
 
     The c recursion is taken with equality and c(0) = 1, the canonical
-    reproducible choice; `c_factor` exists for deliberately corrupted variants
-    in tests and must stay at 1.0 for a valid construction.
+    reproducible choice.
     """
 
-    def __init__(self, depth: int, c_factor: float = 1.0, validate: bool = True):
+    def __init__(self, depth: int):
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
         self.depth = depth
         # no breakpoint table can read slopes past its cap
         if self.max_b_index() > _MAX_TABLE_DEPTH:
             raise ValueError(f"depth {depth} reaches b({self.max_b_index()}), past the table cap")
-        self._c_factor = c_factor
         self._log2_c: list[float] = [0.0]
         self._lock = threading.Lock()
-        if validate:
-            self._validate()
 
     # -- raw sequences -----------------------------------------------------
 
@@ -78,9 +74,6 @@ class CounterexampleSequences:
             return 0.0
         return j * (_LOG2E - math.log2(j))
 
-    def alpha(self, j: int) -> LogReal:
-        return LogReal.from_log2(self.log2_alpha(j))
-
     def log2_c(self, j: int) -> float:
         if j < 0:
             raise IndexError(f"c index must be >= 0, got {j}")
@@ -91,24 +84,15 @@ class CounterexampleSequences:
             while len(table) <= j:
                 top = len(table) - 1
                 table.append(
-                    table[top]
-                    + self.log2_alpha(top)
-                    + self.log2_alpha(2 * top * top)
-                    + math.log2(self._c_factor)
+                    table[top] + self.log2_alpha(top) + self.log2_alpha(2 * top * top)
                 )
             return table[j]
-
-    def c(self, j: int) -> LogReal:
-        return LogReal.from_log2(self.log2_c(j))
 
     @staticmethod
     def s(n: int) -> int:
         if n < 1:
             raise IndexError(f"s index must be >= 1, got {n}")
         return triangular(n)
-
-    def t(self, n: int) -> LogReal:
-        return LogReal.two_pow(-float(self.s(n)))
 
     def log2_b(self, i: int) -> float:
         if i < 0:
@@ -117,9 +101,6 @@ class CounterexampleSequences:
             return self.log2_c(i)
         n, k = row_of_index(i)
         return self.log2_c(n + 1) - self.log2_alpha(n + 1 - k)
-
-    def b(self, i: int) -> LogReal:
-        return LogReal.from_log2(self.log2_b(i))
 
     # -- derived objects -----------------------------------------------------
 
@@ -132,26 +113,6 @@ class CounterexampleSequences:
 
     def make_function(self) -> DyadicOrliczFunction:
         return make_dyadic_plf(self.slopes())
-
-    def _validate(self) -> None:
-        prev_a = math.inf
-        for j in range(0, 2 * self.depth + 2):
-            a = self.log2_alpha(j)
-            if a > prev_a:
-                raise AssertionError(f"alpha increases at {j}")
-            prev_a = a
-        if self.log2_alpha(0) != 0.0 or self.log2_alpha(2) != 0.0:
-            raise AssertionError("alpha must start at 1, 1, 1")
-        prev_c = math.inf
-        for j in range(0, self.depth + 2):
-            cj = self.log2_c(j)
-            if cj > prev_c:
-                raise AssertionError(f"c increases at {j}")
-            prev_c = cj
-        for i in range(2, min(self.max_b_index(), 500) + 1):
-            n, k = row_of_index(i)
-            if not (1 <= k <= n + 1 and triangular(n) + k == i):
-                raise AssertionError(f"b-index map broken at {i}")
 
 
 def gen_sequences(depth: int) -> CounterexampleSequences:
@@ -338,22 +299,16 @@ class GreedySearchError(RuntimeError):
 class GreedyTrace:
     """Chosen indices and renormed prefix values of the greedy construction."""
 
-    alpha_threshold: LogReal
     chosen: list[int]
     prefix_value_log2: list[float]     # renormed value of each prefix
     budget_margin_log2: list[float]    # alpha - eta_k * value, in log2 terms
-    stabilization_checks: list[bool]   # triangle-bound implication held
     candidates_tried: list[int]
-
-    @property
-    def depth(self) -> int:
-        return len(self.chosen)
 
 
 def greedy_nk(
     M: DyadicOrliczFunction,
     eta: EtaSequence,
-    alpha_threshold: LogReal,
+    alpha: LogReal,
     t_seq: Callable[[int], LogReal],
     depth: int,
 ) -> GreedyTrace:
@@ -370,27 +325,19 @@ def greedy_nk(
     rearrangement and the new renormed value is max(previous value,
     eta_k * head-k norm): one Newton solve per candidate.
     """
-    if alpha_threshold.sign <= 0:
-        raise ValueError(f"alpha threshold must be positive, got {alpha_threshold}")
+    if alpha.sign <= 0:
+        raise ValueError(f"alpha threshold must be positive, got {alpha}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    alpha_log2 = alpha_threshold.log2mag
+    alpha_log2 = alpha.log2mag
     chosen: list[int] = []
     coords_log2: list[float] = []
     values: list[float] = []
     margins: list[float] = []
-    stab_checks: list[bool] = []
     tried: list[int] = []
     prev_value = -math.inf
     n = 1
     for k in range(1, depth + 1):
-        # triangle-inequality bound: if it already fits the budget, minimality
-        # must keep n unchanged at this step
-        force_same = False
-        if chosen:
-            single = eta.log2(1) + _single_norm_log2(M, t_seq(chosen[-1]).log2mag)
-            bound = eta.log2(k) + log2_add(prev_value, single)
-            force_same = bound <= alpha_log2
         count = 0
         while True:
             t_n = t_seq(n)
@@ -406,25 +353,18 @@ def greedy_nk(
             count += 1
             if count > _SEARCH_CAP:
                 raise GreedySearchError(k, n)
-        stab_checks.append((not force_same) or n == chosen[-1])
         chosen.append(n)
-        coords_log2.append(t_seq(n).log2mag)
+        coords_log2 = cand
         prev_value = new_value
         values.append(new_value)
         margins.append(alpha_log2 - (eta.log2(k) + new_value))
         tried.append(count + 1)
     return GreedyTrace(
-        alpha_threshold=alpha_threshold,
         chosen=chosen,
         prefix_value_log2=values,
         budget_margin_log2=margins,
-        stabilization_checks=stab_checks,
         candidates_tried=tried,
     )
-
-
-def _single_norm_log2(M: DyadicOrliczFunction, coord_log2: float) -> float:
-    return coord_log2 - M.inverse_log2(0.0)
 
 
 # -- the dichotomy probe -------------------------------------------------------

@@ -61,9 +61,6 @@ class SlopeSequence:
             raise IndexError(f"slope index must be >= 0, got {n}")
         return self._log2_fn(n)
 
-    def b(self, n: int) -> LogReal:
-        return LogReal.from_log2(self.log2_slope(n))
-
     def validate(self, upto: int) -> None:
         """Check positivity and monotonicity on indices [0, upto]."""
         _check_log2_slopes((self.log2_slope(n) for n in range(upto + 1)), 0, math.inf)

@@ -197,9 +197,6 @@ class RenormScheme:
     eta: EtaSequence
     inconclusive_k: list[int] = field(default_factory=list)
 
-    def bk(self, k: int) -> LogReal:
-        return self.bk_table[k]
-
     def render(self) -> str:
         lines = [f"m = {self.m}", f"k_max = {self.k_max}"]
         for k in sorted(self.bk_table):

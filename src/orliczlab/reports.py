@@ -176,16 +176,20 @@ def render_text(report: Report) -> str:
             lines.extend("    " + part for part in value.splitlines())
         else:
             lines.append(f"  {key} = {value}")
-    n_fail = len(report.failures)
-    lines.append(f"  rows: {len(report.rows)}, failures: {n_fail}")
-    by_check: dict[str, int] = {}
+    by_check: dict[str, list[int]] = {}  # check -> [rows, failures]
+    failed: list[CheckRow] = []
     for row in report.rows:
-        by_check[row.check] = by_check.get(row.check, 0) + 1
+        counts = by_check.setdefault(row.check, [0, 0])
+        counts[0] += 1
+        if not row.passed:
+            counts[1] += 1
+            failed.append(row)
+    lines.append(f"  rows: {len(report.rows)}, failures: {len(failed)}")
     for check in sorted(by_check):
-        fails = sum(1 for r in report.rows if r.check == check and not r.passed)
+        total, fails = by_check[check]
         status = "ok" if fails == 0 else f"{fails} FAILED"
-        lines.append(f"  [{check}] {by_check[check]} checks: {status}")
-    for row in report.failures[:50]:
+        lines.append(f"  [{check}] {total} checks: {status}")
+    for row in failed[:50]:
         lines.append(
             f"  FAIL [{row.check}] at {row.indices}: "
             f"lhs_log2={row.lhs_log2} rhs_log2={row.rhs_log2} {row.note}"

@@ -190,12 +190,19 @@ def test_c05_renormed_value_properties(squares, squares_scheme):
     report(5, not failures and elapsed < 30.0, f"(failures {failures[:3]}, {elapsed:.1f}s)")
 
 
+class _DoubledC(CounterexampleSequences):
+    """The c recursion with an extra factor 2 per step (a corrupted variant)."""
+
+    def log2_c(self, j):
+        return super().log2_c(j) + j
+
+
 def test_c06_claims(seqs):
     """Structural claims hold at j_max 40 for K in {2,4,8,16}; a corrupted
     c-recursion is caught with a witness."""
     start = time.perf_counter()
     rep = verify_claims(seqs, 40, [2, 4, 8, 16])
-    bad = CounterexampleSequences(20, c_factor=2.0, validate=False)
+    bad = _DoubledC(20)
     rep_bad = verify_claims(bad, 20, [2])
     witnessed = rep_bad.summary["failures"] > 0 and "first-witness" in rep_bad.summary
     elapsed = time.perf_counter() - start

@@ -29,9 +29,18 @@ from orliczlab.counterexample import (
     row_of_index,
     triangular,
 )
+from orliczlab.logreal import log2_add
 from orliczlab.reports import CheckRow
 
 _LOG2E = 1.0 / math.log(2.0)
+
+
+class _DoubledC(CounterexampleSequences):
+    """The c recursion with an extra factor 2 per step: c(j) is 2^j too large,
+    so b is no longer nonincreasing and claim 1 fails."""
+
+    def log2_c(self, j):
+        return super().log2_c(j) + j
 
 
 @pytest.fixture(scope="module")
@@ -52,29 +61,39 @@ def eta_pow2():
 class TestSequences:
     def test_alpha_head(self, seqs):
         for j in (0, 1, 2):
-            assert seqs.alpha(j).to_float() == 1.0
+            assert seqs.log2_alpha(j) == 0.0
 
     def test_alpha_3(self, seqs):
         # (e/3)^3 with log2 about -0.4268
-        assert seqs.alpha(3).to_float() == pytest.approx((math.e / 3) ** 3, rel=1e-13)
+        assert 2.0 ** seqs.log2_alpha(3) == pytest.approx((math.e / 3) ** 3, rel=1e-13)
         assert seqs.log2_alpha(3) == pytest.approx(-0.4268, abs=1e-4)
 
     def test_alpha_nonincreasing(self, seqs):
+        # (e/j)^j decreases for j >= 1; the floats are checked through
+        # twice the deepest constructible depth (2 826, the table cap)
         prev = math.inf
-        for j in range(0, 200):
+        for j in range(0, 5_655):
             v = seqs.log2_alpha(j)
-            assert v <= prev + 1e-12
+            assert v <= prev
+            prev = v
+
+    def test_c_nonincreasing(self, seqs):
+        # alpha <= 1, so each step of the c recursion adds log2 values <= 0
+        prev = math.inf
+        for j in range(0, 2_828):
+            v = seqs.log2_c(j)
+            assert v <= prev
             prev = v
 
     def test_c3_unrolled(self, seqs):
         # c(1) = c(2) = 1 and c(3) = alpha(2) alpha(8) c(2) = (e/8)^8
-        assert seqs.c(1).to_float() == 1.0
-        assert seqs.c(2).to_float() == 1.0
+        assert seqs.log2_c(1) == 0.0
+        assert seqs.log2_c(2) == 0.0
         assert seqs.log2_c(3) == pytest.approx(8 * (_LOG2E - 3.0), rel=1e-14)
 
     def test_triangular_and_t(self, seqs):
         assert seqs.s(4) == 10
-        assert seqs.t(4) == LogReal.two_pow(-10)
+        assert default_probe_t(4) == LogReal.two_pow(-10)
 
     def test_b6_is_c3(self, seqs):
         # index 6 = s(2) + 3, so b(6) = c(3)/alpha(0) = c(3)
@@ -110,7 +129,7 @@ class TestSequences:
         with pytest.raises(ValueError, match="past the table cap"):
             gen_sequences(2827)
         with pytest.raises(ValueError, match="past the table cap"):
-            CounterexampleSequences(10**8, validate=False)
+            CounterexampleSequences(10**8)
 
     def test_memo_tables_concurrent_reads(self):
         import threading
@@ -155,7 +174,7 @@ class TestClaims:
             assert r.margin_log2 == 0.0
 
     def test_corrupted_c_fails_with_witness(self):
-        bad = CounterexampleSequences(20, c_factor=2.0, validate=False)
+        bad = _DoubledC(20)
         rep = verify_claims(bad, 20, [2])
         assert rep.summary["failures"] > 0
         assert "claim1-monotone" in rep.summary["first-witness"]
@@ -268,7 +287,7 @@ class TestClaimsTabulated:
 
     @pytest.mark.parametrize("j_max", [3, 40])
     def test_matches_per_call_scan_on_failing_rows(self, j_max):
-        bad = CounterexampleSequences(30, c_factor=2.0, validate=False)
+        bad = _DoubledC(30)
         rows, summary = self._assert_same(bad, j_max, [2, 3])
         assert summary["failures"] > 0 and "first-witness" in summary
         assert any(r.passed for r in rows) and any(not r.passed for r in rows)
@@ -334,8 +353,18 @@ class TestGreedy:
         # the weighted budget holds at every step
         for margin in trace.budget_margin_log2:
             assert margin >= 0.0
-        # minimality consequence: triangle-bound implication checked per step
-        assert all(trace.stabilization_checks)
+        # minimality: once the triangle bound eta_k (v_(k-1) + eta_1 |t(n_(k-1)) e_1|)
+        # fits the budget, step k repeats n_(k-1)
+        v = trace.prefix_value_log2
+        forced = 0
+        for k in range(2, 31):
+            n_prev = trace.chosen[k - 2]
+            t_prev = default_probe_t(n_prev).log2mag
+            single = eta_pow2.log2(1) + (t_prev - M_ce.inverse_log2(0.0))
+            if eta_pow2.log2(k) + log2_add(v[k - 2], single) <= 0.0:
+                forced += 1
+                assert trace.chosen[k - 1] == n_prev
+        assert forced > 0
         # prefix values never exceed the budget, so base norms stay <= 1
         x = FiniteVector({j + 1: default_probe_t(n) for j, n in enumerate(trace.chosen)})
         for k in (5, 15, 30):

@@ -70,7 +70,7 @@ class TestSlopeSequences:
 
     def test_list_holds_last_slope(self):
         seq = slopes_from_list([LogReal.from_float(1.0), LogReal.from_float(0.5)])
-        assert seq.b(10).to_float() == 0.5
+        assert seq.log2_slope(10) == -1.0
 
 
 class TestGeometricClosedForm:
@@ -425,8 +425,8 @@ class TestFunctionSpecs:
 
     def test_list_spec(self):
         M = parse_function_spec("kind = list\nslopes = 1 2^-1 2^-3\n")
-        assert M.slopes.b(1).to_float() == 0.5
-        assert M.slopes.b(9).to_float() == 0.125
+        assert M.slopes.log2_slope(1) == -1.0
+        assert M.slopes.log2_slope(9) == -3.0
 
     def test_counterexample_spec(self):
         M = parse_function_spec("kind = counterexample\ndepth = 8\n")
