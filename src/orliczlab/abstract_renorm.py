@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import mul
 from typing import Callable, Sequence
@@ -75,11 +76,6 @@ class SectionFunctional:
                 f"expected level {self.level}"
             )
 
-    def pair(self, x: FiniteVector, upto: int | None = None) -> LogReal:
-        """<P_j x, w> with j = min(upto, level); upto None means the level."""
-        top, coords = _framed(x, self.level if upto is None else min(upto, self.level))
-        return _unframed(self.pair_floats(coords), top)
-
     def pair_floats(self, coords: Sequence[float]) -> float:
         # map stops at the shorter of coefficients and coords
         return self.scale * sum(map(mul, self.coefficients, coords))
@@ -88,9 +84,12 @@ class SectionFunctional:
 def _framed(x: FiniteVector, j: int) -> tuple[float, list[float]]:
     """Coordinates 1..j of x as floats relative to 2^top, top their largest
     log2 magnitude; those ~1074 binades below it become 0."""
-    vals = [x.get(i) for i in range(1, j + 1)]
-    top = max((v.log2mag for v in vals if v.sign), default=0.0)
-    return top, [v.sign * 2.0 ** (v.log2mag - top) if v.sign else 0.0 for v in vals]
+    k = bisect_right(x.indices, j)
+    top = max(x.log2mags[:k], default=0.0)
+    coords = [0.0] * j
+    for i, s, v in zip(x.indices[:k], x.signs, x.log2mags):
+        coords[i - 1] = s * 2.0 ** (v - top)
+    return top, coords
 
 
 def _unframed(v: float, top: float) -> LogReal:

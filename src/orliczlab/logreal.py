@@ -7,7 +7,9 @@ overflow for exponents up to about 1e6 in absolute value.  Conversion to a
 native float is exact to a few ulps whenever the exponent is inside the
 double range.
 
-Values are immutable; every operation is a pure function.
+Values are immutable; every operation is a pure function.  The numeric core
+works on plain log2 floats; `LogReal` is the type values enter and leave the
+API in (parse, from_float, to_float, render).
 """
 
 from __future__ import annotations
@@ -81,10 +83,6 @@ class LogReal:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "LogReal":
-        return _ZERO
-
-    @staticmethod
     def one() -> "LogReal":
         return _ONE
 
@@ -93,7 +91,7 @@ class LogReal:
         if math.isnan(x) or math.isinf(x):
             raise ValueError(f"cannot represent {x}")
         if x == 0.0:
-            return _ZERO
+            return ZERO
         return LogReal(1 if x > 0 else -1, math.log2(abs(x)))
 
     @staticmethod
@@ -104,12 +102,6 @@ class LogReal:
     def two_pow(exponent: float) -> "LogReal":
         """Exact 2^exponent."""
         return LogReal(1, float(exponent))
-
-    # -- predicates --------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
 
     # -- arithmetic --------------------------------------------------------
 
@@ -122,7 +114,7 @@ class LogReal:
     def __mul__(self, other: "LogReal") -> "LogReal":
         s = self.sign * other.sign
         if s == 0:
-            return _ZERO
+            return ZERO
         return LogReal(s, self.log2mag + other.log2mag)
 
     def __truediv__(self, other: "LogReal") -> "LogReal":
@@ -130,7 +122,7 @@ class LogReal:
             raise ZeroDivisionError("LogReal division by zero")
         s = self.sign * other.sign
         if s == 0:
-            return _ZERO
+            return ZERO
         return LogReal(s, self.log2mag - other.log2mag)
 
     def __add__(self, other: "LogReal") -> "LogReal":
@@ -142,35 +134,13 @@ class LogReal:
         if self.sign == other.sign:
             return LogReal(self.sign, log2_add(a, b))
         if a == b:
-            return _ZERO
+            return ZERO
         if a > b:
             return LogReal(self.sign, log2_sub(a, b))
         return LogReal(other.sign, log2_sub(b, a))
 
     def __sub__(self, other: "LogReal") -> "LogReal":
         return self + (-other)
-
-    # -- ordering ----------------------------------------------------------
-
-    def _cmp(self, other: "LogReal") -> int:
-        if self.sign != other.sign:
-            return -1 if self.sign < other.sign else 1
-        if self.sign == 0 or self.log2mag == other.log2mag:
-            return 0
-        s = 1 if self.log2mag > other.log2mag else -1
-        return s if self.sign > 0 else -s
-
-    def __lt__(self, other: "LogReal") -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "LogReal") -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: "LogReal") -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "LogReal") -> bool:
-        return self._cmp(other) >= 0
 
     # -- conversion & rendering --------------------------------------------
 
@@ -198,8 +168,9 @@ class LogReal:
 
     @staticmethod
     def parse(text: str) -> "LogReal":
-        """Inverse of render(); accepts decimals and the '±2^e' form."""
-        s = text.strip()
+        """Inverse of render(); accepts decimals and the '±2^e' form.  A decimal
+        must be a finite double: inf, nan, 1e400 and 1e-400 raise ValueError."""
+        token = s = text.strip()
         if not s:
             raise ValueError("empty LogReal token")
         sign = 1
@@ -210,15 +181,18 @@ class LogReal:
         if s.startswith("2^"):
             return LogReal(sign, float(s[2:]))
         x = float(s)
+        if math.isnan(x) or math.isinf(x):
+            raise ValueError(f"token {token!r} is not a finite double; write it as 2^e")
         if x == 0.0:
-            return _ZERO
+            # a nonzero digit before the exponent means the value underflowed
+            if any(c in "123456789" for c in s.lower().partition("e")[0]):
+                raise ValueError(f"token {token!r} underflows a double; write it as 2^e")
+            return ZERO
         if x < 0.0:
             sign, x = -sign, -x
         return LogReal(sign, math.log2(x))
 
 
-_ZERO = LogReal(0, 0.0)
+ZERO = LogReal(0, 0.0)
 _ONE = LogReal(1, 0.0)
-
-ZERO = _ZERO
 

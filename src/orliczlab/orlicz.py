@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .logreal import LogReal, ZERO, log2_add, log2_sub
+from .logreal import LogReal, log2_add, log2_sub
 
 _LN2 = math.log(2.0)
 _LOG2E = 1.0 / _LN2
@@ -70,8 +70,8 @@ def _check_log2_slopes(logs: Iterable[float], first: int, prev: float) -> None:
     """Raise unless logs (log2 b(first), log2 b(first + 1), ...) are log2 of
     positive reals, each at most the one before, starting from prev."""
     for n, v in enumerate(logs, start=first):
-        if math.isnan(v) or v == math.inf:
-            raise SlopeSequenceError(n, f"slope at index {n} is not a positive real")
+        if math.isnan(v) or math.isinf(v):  # -inf: zero, or below the float range
+            raise SlopeSequenceError(n, f"slope at index {n} is not a positive real: log2 {v}")
         if v > prev:
             raise SlopeSequenceError(
                 n, f"slope sequence increases at index {n}: "
@@ -206,14 +206,6 @@ class DyadicOrliczFunction:
         """eval_log2 over a sequence; entries of -inf pass through."""
         return [self.eval_log2(float(v)) for v in u]
 
-    def eval(self, t: LogReal) -> LogReal:
-        """M(t) for t >= 0."""
-        if t.sign < 0:
-            raise ValueError(f"M is defined for t >= 0, got {t}")
-        if t.sign == 0:
-            return ZERO
-        return LogReal.from_log2(self.eval_log2(t.log2mag))
-
     # -- inversion --------------------------------------------------------------
 
     def inverse_log2(self, ylog: float) -> float:
@@ -238,14 +230,6 @@ class DyadicOrliczFunction:
         n = bisect.bisect_right(logM, -ylog, lo=2, hi=depth + 1, key=operator.neg) - 1
         diff = log2_sub(ylog, logM[n + 1])
         return log2_add(-(n + 1.0), diff - logb[n])
-
-    def inverse(self, y: LogReal) -> LogReal:
-        """The t >= 0 with M(t) = y; exact on the located linear segment."""
-        if y.sign < 0:
-            raise ValueError(f"M^(-1) is defined for y >= 0, got {y}")
-        if y.sign == 0:
-            return ZERO
-        return LogReal.from_log2(self.inverse_log2(y.log2mag))
 
 
 def make_dyadic_plf(slopes: SlopeSequence) -> DyadicOrliczFunction:

@@ -43,19 +43,18 @@ class EtaInfeasibleError(ValueError):
 
 
 class EtaSequence:
-    """Weights eta_1 > eta_2 > ... > 1 with an optional validated prefix.
+    """Weights eta_1 > eta_2 > ... > 1, checked as they are tabulated.
 
     The rule is stored as k -> log2(eta_k), which keeps eta_k - 1 resolvable
     far below the float epsilon around 1 (eta_k = 1 + 2^(-60) is a perfectly
-    good weight).  Rules built by the constructors below are strictly
-    decreasing by construction; user-supplied rules may skip validation, in
-    which case the sequence is marked unchecked.
+    good weight).  Every entry is checked to lie above 1 and below the entry
+    before it when it enters the table, so a rule that fails raises
+    EtaInfeasibleError at the first index where it does.
     """
 
-    def __init__(self, log2_fn: Callable[[int], float], description: str, validated: bool):
+    def __init__(self, log2_fn: Callable[[int], float], description: str):
         self._log2_fn = log2_fn
         self.description = description
-        self.validated = validated
         self._lock = threading.Lock()
         # log2 eta_k at index k; index 0 is the +inf that eta_1 must lie below.
         # The list is replaced, never mutated, so readers need no lock.
@@ -70,9 +69,9 @@ class EtaSequence:
         return self.ensure_valid(k + 1)[k]
 
     def ensure_valid(self, upto: int) -> list[float]:
-        """Tabulate log2 eta_k through k = upto, checking that a validated rule
-        stays above 1 and strictly decreases, and return the shared table
-        (read it, do not mutate it); idempotent and thread-safe."""
+        """Tabulate log2 eta_k through k = upto, checking that the rule stays
+        above 1 and strictly decreases, and return the shared table (read it,
+        do not mutate it); idempotent and thread-safe."""
         table = self._table
         if upto < len(table):
             return table
@@ -82,13 +81,12 @@ class EtaSequence:
             ext = []
             for k in range(len(table), upto + 1):
                 v = self._log2_fn(k)
-                if self.validated:
-                    if not v > 0.0:
-                        raise EtaInfeasibleError(k, v, f"eta_{k} = 2^{v} is not > 1")
-                    if not v < prev:
-                        raise EtaInfeasibleError(
-                            k, v, f"log2 eta_{k} = {v} does not strictly decrease from {prev}"
-                        )
+                if not v > 0.0:
+                    raise EtaInfeasibleError(k, v, f"eta_{k} = 2^{v} is not > 1")
+                if not v < prev:
+                    raise EtaInfeasibleError(
+                        k, v, f"log2 eta_{k} = {v} does not strictly decrease from {prev}"
+                    )
                 ext.append(v)
                 prev = v
             self._table = table + ext
@@ -97,20 +95,7 @@ class EtaSequence:
     @staticmethod
     def one_plus_pow2() -> "EtaSequence":
         """eta_k = 1 + 2^(-k)."""
-        return EtaSequence(
-            lambda k: math.log1p(2.0 ** (-k)) / math.log(2.0), "1+2^-k", validated=True
-        )
-
-    @staticmethod
-    def unchecked(fn: Callable[[int], float], description: str = "user") -> "EtaSequence":
-        """Accept a user rule eta_k (plain values) with validation skipped.
-
-        A plain value loses eta_k - 1 below 2^-52: 1 + 2^-k rounds to 1 from
-        k = 53 on, so such a rule gives log2 eta_k = 0.0 there.
-        """
-        return EtaSequence(
-            lambda k: math.log2(fn(k)), f"{description} (unchecked)", validated=False
-        )
+        return EtaSequence(lambda k: math.log1p(2.0 ** (-k)) / math.log(2.0), "1+2^-k")
 
 
 def build_eta(bk: Callable[[int], LogReal], k_max: int) -> EtaSequence:
@@ -163,7 +148,7 @@ def build_eta(bk: Callable[[int], LogReal], k_max: int) -> EtaSequence:
         g = suffix[k - 1] if k <= k_max else tail_floor_log2
         return g + math.log1p(2.0 ** (-k)) / ln2
 
-    return EtaSequence(log2_fn, f"suffix-max floors, k_max={k_max}", validated=True)
+    return EtaSequence(log2_fn, f"suffix-max floors, k_max={k_max}")
 
 
 def compute_bk(M: DyadicOrliczFunction, m: int, k: int) -> RatioReport:
@@ -296,9 +281,7 @@ def _head_attainment_search(
     """
     if x.is_zero:
         return 0, []
-    coords = x.coords  # in index order
-    support = list(coords)
-    log2_mags = [v.log2mag for v in coords.values()]
+    support, log2_mags = x.indices, x.log2mags
     # a stable sort keeps tied magnitudes in position order
     order = sorted(range(len(support)), key=log2_mags.__getitem__, reverse=True)
     vals = _head_values_log2(M, eta, [log2_mags[p] for p in order])
@@ -326,13 +309,12 @@ def growth_index(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector) -> 
     if x.max_index != n:
         raise ValueError("coordinates must be packed into indices 1..N")
     prev = math.inf
-    for i in range(1, n + 1):
-        v = x.get(i)
-        if v.sign <= 0:
-            raise ValueError(f"coordinate {i} must be positive, got {v}")
-        if v.log2mag > prev:
+    for i, (sign, v) in enumerate(zip(x.signs, x.log2mags), start=1):
+        if sign < 0:
+            raise ValueError(f"coordinate {i} must be positive, got -2^{v!r}")
+        if v > prev:
             raise ValueError(f"coordinates must be nonincreasing, violated at index {i}")
-        prev = v.log2mag
+        prev = v
     eta_log2 = eta.ensure_valid(n + 1)
     head_norms = _prefix_norms_log2(M, x.sorted_log2_magnitudes())
     full = head_norms[-1]

@@ -1,8 +1,11 @@
 """Finitely supported coordinate vectors and the Luxemburg norm.
 
 Vectors live against the unit-vector basis with 1-based indices; only nonzero
-coordinates are stored.  The norm of x is the unique rho > 0 at which the
-modular sum M(|a_i| / rho) equals 1.
+coordinates are stored, as index, sign and log2-magnitude tuples.  Every
+computation here reads those floats; `LogReal` appears only where a value
+enters (the constructor, `parse`) or leaves (`get`, `coords`, `render`, the
+returned norms).  The norm of x is the unique rho > 0 at which the modular
+sum M(|a_i| / rho) equals 1.
 
 On its dyadic segment n, M is the line b(n) t + c(n) with c(n) <= 0.  Write
 s = 1/rho; with each |a_i| s on segment n_i the modular is C + s B, where
@@ -49,6 +52,7 @@ magnitudes far outside the double range are fine.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping
 from operator import add
 
@@ -57,9 +61,14 @@ from .orlicz import DyadicOrliczFunction
 
 
 class FiniteVector:
-    """Immutable finitely supported vector with LogReal coordinates."""
+    """Immutable finitely supported vector.
 
-    __slots__ = ("_coords", "_sorted_log2", "_max_index")
+    The nonzero coordinates are held as three tuples in index order:
+    `indices`, `signs` (each 1 or -1) and `log2mags`.  `LogReal` values are
+    built only when `get`, `coords` or `render` asks for them.
+    """
+
+    __slots__ = ("indices", "signs", "log2mags")
 
     def __init__(self, coords: Mapping[int, LogReal] | Iterable[tuple[int, LogReal]]):
         items = coords.items() if isinstance(coords, Mapping) else coords
@@ -69,15 +78,30 @@ class FiniteVector:
                 raise ValueError(f"coordinate indices must be positive integers, got {idx}")
             if val.sign != 0:
                 stored[int(idx)] = val
-        self._coords = dict(sorted(stored.items()))
-        self._sorted_log2 = sorted((v.log2mag for v in self._coords.values()), reverse=True)
-        self._max_index = max(self._coords) if self._coords else 0
+        self.indices = tuple(sorted(stored))
+        self.signs = tuple(stored[i].sign for i in self.indices)
+        self.log2mags = tuple(stored[i].log2mag for i in self.indices)
+
+    @classmethod
+    def _from_lists(cls, indices: Iterable[int], signs: Iterable[int],
+                    log2mags: Iterable[float]) -> "FiniteVector":
+        """A vector from index-ordered nonzero coordinates, taken as they are."""
+        x = cls.__new__(cls)
+        x.indices, x.signs, x.log2mags = tuple(indices), tuple(signs), tuple(log2mags)
+        return x
 
     @staticmethod
     def from_floats(values: Iterable[float]) -> "FiniteVector":
-        return FiniteVector(
-            {i: LogReal.from_float(v) for i, v in enumerate(values, start=1)}
-        )
+        """Coordinates 1, 2, ... from floats; zeros are dropped."""
+        indices, signs, log2mags = [], [], []
+        for i, v in enumerate(values, start=1):
+            if math.isnan(v) or math.isinf(v):
+                raise ValueError(f"cannot represent {v}")
+            if v != 0.0:
+                indices.append(i)
+                signs.append(1 if v > 0 else -1)
+                log2mags.append(math.log2(abs(v)))
+        return FiniteVector._from_lists(indices, signs, log2mags)
 
     @staticmethod
     def parse(text: str) -> "FiniteVector":
@@ -91,53 +115,39 @@ class FiniteVector:
 
     @property
     def coords(self) -> dict[int, LogReal]:
-        return dict(self._coords)
+        return {i: LogReal(s, v) for i, s, v in zip(self.indices, self.signs, self.log2mags)}
 
     @property
     def support_size(self) -> int:
-        return len(self._coords)
+        return len(self.indices)
 
     @property
     def max_index(self) -> int:
-        return self._max_index
+        return self.indices[-1] if self.indices else 0
 
     @property
     def is_zero(self) -> bool:
-        return not self._coords
+        return not self.indices
 
     def sorted_log2_magnitudes(self) -> list[float]:
         """log2 of the nonzero magnitudes, nonincreasing."""
-        return list(self._sorted_log2)
+        return sorted(self.log2mags, reverse=True)
 
     def get(self, index: int) -> LogReal:
-        return self._coords.get(index, ZERO)
+        k = bisect_left(self.indices, index)
+        if k == len(self.indices) or self.indices[k] != index:
+            return ZERO
+        return LogReal(self.signs[k], self.log2mags[k])
 
     def head(self, m: int) -> "FiniteVector":
         """Truncation to basis indices <= m."""
-        return FiniteVector({i: v for i, v in self._coords.items() if i <= m})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FiniteVector) and self._coords == other._coords
-
-    def __hash__(self):
-        return hash(tuple(self._coords.items()))
-
-    def __add__(self, other: "FiniteVector") -> "FiniteVector":
-        out = dict(self._coords)
-        for i, v in other._coords.items():
-            out[i] = out.get(i, ZERO) + v
-        return FiniteVector(out)
-
-    def scale(self, factor: LogReal) -> "FiniteVector":
-        return FiniteVector({i: v * factor for i, v in self._coords.items()})
+        k = bisect_right(self.indices, m)
+        return FiniteVector._from_lists(self.indices[:k], self.signs[:k], self.log2mags[:k])
 
     def render(self) -> str:
-        if not self._coords:
-            return "0"
-        dense = []
-        for i in range(1, self._max_index + 1):
-            dense.append(self.get(i).render())
-        return " ".join(dense)
+        coords = self.coords
+        dense = (coords[i].render() if i in coords else "0" for i in range(1, self.max_index + 1))
+        return " ".join(dense) or "0"
 
     def __repr__(self) -> str:
         return f"FiniteVector({self.render()})"
@@ -145,9 +155,8 @@ class FiniteVector:
 
 def rearrange(x: FiniteVector) -> FiniteVector:
     """Decreasing rearrangement of the magnitudes, packed into indices 1..N."""
-    return FiniteVector(
-        {i: LogReal(1, v) for i, v in enumerate(x.sorted_log2_magnitudes(), start=1)}
-    )
+    n = x.support_size
+    return FiniteVector._from_lists(range(1, n + 1), [1] * n, x.sorted_log2_magnitudes())
 
 
 def modular(M: DyadicOrliczFunction, x: FiniteVector, rho: LogReal) -> LogReal:

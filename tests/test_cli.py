@@ -133,6 +133,32 @@ class TestErrors:
         code = main(["claims", "--function", str(deep), "--depth", "10"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command, fn, vec, named", [
+        # log2 b(n) = -inf, a zero slope, from index 0
+        ("norm", "kind = pow2_poly\nc = inf\n", "3 1", "slope at index 0 "),
+        ("probe", "kind = pow2_poly\nc = inf\n", "3 1", "slope at index 0 "),
+        # a n^2 overflows at n = 13408, which the point 2^-20000 reaches
+        ("norm", "kind = pow2_poly\na = 1e300\n", "1 2^-20000", "slope at index 13408 "),
+        # decimals outside the double range; 2^e tokens write them
+        ("norm", IDENT_FN, "1 1e-400", "token '1e-400'"),
+        ("norm", IDENT_FN, "1e400 1", "token '1e400'"),
+        ("norm", IDENT_FN, "1 nan", "token 'nan'"),
+    ])
+    def test_out_of_domain_input_is_named_in_one_line(
+        self, tmp_path, capsys, command, fn, vec, named
+    ):
+        (tmp_path / "f.fn").write_text(fn, encoding="utf-8")
+        (tmp_path / "v.vec").write_text(vec, encoding="utf-8")
+        argv = [command, "--function", str(tmp_path / "f.fn")]
+        if command == "norm":
+            argv += ["--vector", str(tmp_path / "v.vec")]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("orliczlab: ") and captured.err.count("\n") == 1
+        assert named in captured.err
+
     def test_claims_needs_counterexample_kind(self, files):
         code = main(["claims", "--function", files["ident.fn"], "--depth", "10"])
         assert code == EXIT_USAGE

@@ -12,6 +12,7 @@ from orliczlab import (
     FiniteVector,
     GreedySearchError,
     LogReal,
+    ZERO,
     gen_sequences,
     geometric_slopes,
     greedy_nk,
@@ -395,7 +396,7 @@ class TestGreedy:
 
     def test_alpha_validation(self, M_ce, eta_pow2):
         with pytest.raises(ValueError):
-            greedy_nk(M_ce, eta_pow2, LogReal.zero(), default_probe_t, 3)
+            greedy_nk(M_ce, eta_pow2, ZERO, default_probe_t, 3)
 
 
 def _exact_segment(t):

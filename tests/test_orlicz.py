@@ -36,6 +36,11 @@ def mp_breakpoint(log2_slope, n, terms=400):
     return sum(mp.mpf(2) ** (log2_slope(j) - j - 1) for j in range(n, n + terms))
 
 
+def m_at(M, t):
+    """M(t) as a float, for a float t > 0."""
+    return 2.0 ** M.eval_log2(math.log2(t))
+
+
 @pytest.fixture(scope="module")
 def ident():
     return make_dyadic_plf(identity_slopes())
@@ -54,7 +59,7 @@ def squares():
 class TestSlopeSequences:
     def test_constant_unit_slope_gives_identity(self, ident):
         for t in (0.03, 0.25, 0.75, 1.0, 3.7):
-            assert ident.eval(LogReal.from_float(t)).to_float() == pytest.approx(t, rel=1e-13)
+            assert m_at(ident, t) == pytest.approx(t, rel=1e-13)
 
     def test_rejects_increasing_list(self):
         vals = [LogReal.from_float(v) for v in (1.0, 2.0, 1.0)]
@@ -67,6 +72,19 @@ class TestSlopeSequences:
             slopes_from_list([LogReal.from_float(1.0), ZERO])
         with pytest.raises(SlopeSequenceError):
             slopes_pow2_poly(-1.0, 0.0, 0.0)
+
+    def test_rejects_zero_slope_where_it_enters(self):
+        # c = inf makes log2 b(n) = -inf, a zero slope, from index 0
+        with pytest.raises(SlopeSequenceError, match="slope at index 0 is not a positive real") as err:
+            slopes_pow2_poly(0.0, 0.0, math.inf)
+        assert err.value.index == 0
+        # a n^2 overflows deep in the table: the table stops at the first
+        # such index and names it, instead of holding log2 M = -inf
+        M = make_dyadic_plf(slopes_pow2_poly(1e300, 0.0, 0.0))
+        first = next(n for n in range(20001) if 1e300 * n * n == math.inf)
+        with pytest.raises(SlopeSequenceError, match=f"slope at index {first} ") as err:
+            M.breakpoint_log2(20000)
+        assert err.value.index == first
 
     def test_list_holds_last_slope(self):
         seq = slopes_from_list([LogReal.from_float(1.0), LogReal.from_float(0.5)])
@@ -82,29 +100,21 @@ class TestGeometricClosedForm:
             )
 
     def test_eval_quarter(self, geom):
-        assert geom.eval(LogReal.two_pow(-2)).to_float() == pytest.approx(1 / 24, rel=1e-13)
+        assert 2.0 ** geom.eval_log2(-2.0) == pytest.approx(1 / 24, rel=1e-13)
 
     def test_inverse_of_closed_form(self, geom):
-        got = geom.inverse(LogReal.from_float(1 / 24))
-        assert got.to_float() == pytest.approx(0.25, rel=1e-13)
+        got = geom.inverse_log2(math.log2(1 / 24))
+        assert 2.0 ** got == pytest.approx(0.25, rel=1e-13)
 
     def test_identity_inverse(self, ident):
-        assert ident.inverse(LogReal.from_float(0.3)).to_float() == pytest.approx(
-            0.3, rel=1e-13
-        )
-        assert ident.inverse(ZERO) == ZERO
+        assert 2.0 ** ident.inverse_log2(math.log2(0.3)) == pytest.approx(0.3, rel=1e-13)
+        assert ident.inverse_log2(-math.inf) == -math.inf
 
 
 class TestEvalContract:
     def test_zero(self, geom, ident):
-        assert geom.eval(ZERO) == ZERO
-        assert ident.eval(ZERO) == ZERO
-
-    def test_negative_rejected(self, geom):
-        with pytest.raises(ValueError):
-            geom.eval(LogReal.from_float(-0.5))
-        with pytest.raises(ValueError):
-            geom.inverse(LogReal.from_float(-0.5))
+        assert geom.eval_log2(-math.inf) == -math.inf
+        assert ident.eval_log2(-math.inf) == -math.inf
 
     def test_against_mpmath_oracle(self, squares):
         log2b = squares_slopes().log2_slope
@@ -127,7 +137,7 @@ class TestEvalContract:
                 want = mp_breakpoint(log2b, n + 1) + mp.mpf(2) ** log2b(n) * (
                     mp.mpf(t) - mp.mpf(2) ** (-n - 1)
                 )
-            got = squares.eval(LogReal.from_float(t)).to_float()
+            got = m_at(squares, t)
             assert got == pytest.approx(float(want), rel=1e-12)
 
     def test_vectorized_matches_scalar(self, squares):
@@ -160,10 +170,8 @@ class TestInvariants:
                 t1, t2 = t2, t1
             lam = rng.uniform(0.01, 0.99)
             mid = lam * t1 + (1 - lam) * t2
-            lhs = squares.eval(LogReal.from_float(mid)).to_float()
-            rhs = lam * squares.eval(LogReal.from_float(t1)).to_float() + (
-                1 - lam
-            ) * squares.eval(LogReal.from_float(t2)).to_float()
+            lhs = m_at(squares, mid)
+            rhs = lam * m_at(squares, t1) + (1 - lam) * m_at(squares, t2)
             assert lhs <= rhs * (1 + 1e-10)
 
     def test_inverse_of_eval_roundtrip(self, squares, geom):
@@ -172,9 +180,9 @@ class TestInvariants:
         rng = random.Random(13)
         for M in (squares, geom):
             for _ in range(300):
-                t = LogReal.from_log2(rng.uniform(-40, 0))
-                back = M.inverse(M.eval(t))
-                assert back.log2mag == pytest.approx(t.log2mag, rel=1e-10, abs=1e-10)
+                u = rng.uniform(-40, 0)
+                back = M.inverse_log2(M.eval_log2(u))
+                assert back == pytest.approx(u, rel=1e-10, abs=1e-10)
 
     def test_strictly_increasing(self, squares):
         prev = -math.inf

@@ -28,6 +28,29 @@ from orliczlab import renorm as renorm_mod
 from orliczlab import squares_slopes
 
 
+def scaled(x, lam):
+    """lam x, by LogReal products of the coordinates."""
+    return FiniteVector({i: v * lam for i, v in x.coords.items()})
+
+
+def added(x, y):
+    """x + y, by LogReal sums of the coordinates."""
+    out = x.coords
+    for i, v in y.coords.items():
+        out[i] = out.get(i, ZERO) + v
+    return FiniteVector(out)
+
+
+class _UncheckedEta(EtaSequence):
+    """An eta rule tabulated without the check that it decreases above 1."""
+
+    def ensure_valid(self, upto):
+        table = self._table
+        if upto >= len(table):
+            self._table = table = table + [self._log2_fn(k) for k in range(len(table), upto + 1)]
+        return table
+
+
 @pytest.fixture(scope="module")
 def ident():
     return make_dyadic_plf(identity_slopes())
@@ -114,12 +137,6 @@ class TestBuildEta:
         assert eta(25) < eta(21) < eta(20)
         assert eta(25) > 1.0
 
-    def test_unchecked_user_rule(self):
-        eta = EtaSequence.unchecked(lambda k: 1.0 + 1.0 / k, "harmonic")
-        assert not eta.validated
-        assert eta(10) == pytest.approx(1.1)
-        eta.ensure_valid(100)  # tabulates only: an unchecked rule never raises
-
     def test_lazy_revalidation_concurrent(self):
         import threading
 
@@ -160,7 +177,7 @@ class TestEtaTable:
             calls[k] += 1
             return math.log2(1.0 + 2.0 ** -k)
 
-        eta = EtaSequence(rule, "counted 1+2^-k", validated=True)
+        eta = EtaSequence(rule, "counted 1+2^-k")
         x = FiniteVector.from_floats([0.5, -0.3, 0.2, 0.1, 0.05])
         for _ in range(3):
             triple_norm(squares, eta, x)
@@ -169,12 +186,12 @@ class TestEtaTable:
 
     def test_reading_eta_k_checks_the_next_index(self, squares):
         logs = {1: 1.0, 2: 0.5, 3: 0.75}   # eta_3 > eta_2
-        eta = EtaSequence(logs.__getitem__, "rises at 3", validated=True)
+        eta = EtaSequence(logs.__getitem__, "rises at 3")
         assert eta.log2(1) == 1.0
         with pytest.raises(EtaInfeasibleError) as err:
             eta.log2(2)
         assert err.value.k == 3
-        eta = EtaSequence(logs.__getitem__, "rises at 3", validated=True)
+        eta = EtaSequence(logs.__getitem__, "rises at 3")
         with pytest.raises(EtaInfeasibleError):
             # a support of 2 reads eta through index 3 before it scans
             growth_index(squares, eta, FiniteVector.from_floats([0.5, 0.5]))
@@ -245,7 +262,7 @@ class TestTripleNorm:
                 {i: LogReal(1, rng.uniform(-14, 2)) for i in range(1, rng.randint(2, 9))}
             )
             lam = LogReal(rng.choice([-1, 1]), rng.uniform(-6, 6))
-            v1, _ = triple_norm(squares, eta_pow2, x.scale(lam))
+            v1, _ = triple_norm(squares, eta_pow2, scaled(x, lam))
             v2, _ = triple_norm(squares, eta_pow2, x)
             assert v1.log2mag == pytest.approx(v2.log2mag + lam.log2mag, abs=1e-10)
 
@@ -291,7 +308,7 @@ class TestTripleNorm:
             )
             va, _ = triple_norm(squares, eta_pow2, a)
             vb, _ = triple_norm(squares, eta_pow2, b)
-            vab, _ = triple_norm(squares, eta_pow2, a + b)
+            vab, _ = triple_norm(squares, eta_pow2, added(a, b))
             assert vab.to_float() <= (va.to_float() + vb.to_float()) * (1 + 1e-10)
 
 
@@ -417,7 +434,7 @@ class TestAttainmentAgainstBisection:
         # with a flat eta on l1, coordinates below the tie slack leave the
         # value unchanged, so a truncation without the candidate can still
         # reach the target
-        flat = EtaSequence.unchecked(lambda k: 1.0, "flat")
+        flat = _UncheckedEta(lambda k: 0.0, "flat")
         x = FiniteVector({1: LogReal(1, 0.0), 2: LogReal(1, -38.0), 3: LogReal(1, -37.5)})
         m, probes = renorm_mod._head_attainment_search(ident, flat, x)
         assert m == 2 == ref_head_attainment_search(ident, flat, x)

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from orliczlab import LogReal
+from orliczlab import LogReal, ZERO
 from orliczlab.cli import SuiteConfig, run_suite
 from orliczlab.reports import CSV_COLUMNS, CheckRow, Report, emit_report
 
@@ -110,7 +110,7 @@ def _edge_reports():
         Report(
             name="rendered",
             rows=[
-                CheckRow(check="logreal", indices=(big, LogReal.zero()), lhs_log2=big.log2mag),
+                CheckRow(check="logreal", indices=(big, ZERO), lhs_log2=big.log2mag),
                 CheckRow(check="str", indices=("a,b", 'q"t', "é"), note="x"),
                 CheckRow(check="nested", indices=([1, [2, 3]], {"k": (4, None)}, ())),
             ],

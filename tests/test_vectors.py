@@ -50,6 +50,24 @@ def squares():
     return make_dyadic_plf(squares_slopes())
 
 
+def record(x):
+    """The stored lists of x, which is what two equal vectors share."""
+    return x.indices, x.signs, x.log2mags, x.sorted_log2_magnitudes()
+
+
+def scaled(x, lam):
+    """lam x, by LogReal products of the coordinates."""
+    return FiniteVector({i: v * lam for i, v in x.coords.items()})
+
+
+def added(x, y):
+    """x + y, by LogReal sums of the coordinates."""
+    out = x.coords
+    for i, v in y.coords.items():
+        out[i] = out.get(i, ZERO) + v
+    return FiniteVector(out)
+
+
 def random_vector(rng, max_support=50, log2_lo=-30.0, log2_hi=4.0, packed=True):
     n = rng.randint(1, max_support)
     coords = {}
@@ -73,34 +91,75 @@ class TestFiniteVector:
         assert v.get(2) == ZERO
         assert v.get(3).to_float() == -0.5
         again = FiniteVector.parse(v.render())
-        assert again == v
+        assert record(again) == record(v)
 
     def test_head(self):
         v = FiniteVector.from_floats([1.0, 2.0, 3.0])
-        assert v.head(2) == FiniteVector.from_floats([1.0, 2.0])
+        assert record(v.head(2)) == record(FiniteVector.from_floats([1.0, 2.0]))
         assert v.head(0).is_zero
-
-    def test_add_and_scale(self):
-        a = FiniteVector.from_floats([1.0, -2.0])
-        b = FiniteVector.from_floats([0.0, 2.0, 5.0])
-        s = a + b
-        assert s.get(2) == ZERO
-        assert s.get(3).to_float() == pytest.approx(5.0, rel=1e-14)
-        doubled = a.scale(LogReal.from_float(2.0))
-        assert doubled.get(2).to_float() == pytest.approx(-4.0, rel=1e-14)
 
 
 class TestRearrange:
     def test_sorts_magnitudes(self):
         v = FiniteVector.from_floats([0.0, -3.0, 1.0])
-        assert rearrange(v) == FiniteVector.from_floats([3.0, 1.0])
+        assert record(rearrange(v)) == record(FiniteVector.from_floats([3.0, 1.0]))
 
     def test_zero(self):
         assert rearrange(FiniteVector({})).is_zero
 
     def test_ties_preserved(self):
         v = FiniteVector.from_floats([1.0, 1.0])
-        assert rearrange(v) == FiniteVector.from_floats([1.0, 1.0])
+        assert record(rearrange(v)) == record(FiniteVector.from_floats([1.0, 1.0]))
+
+
+class TestRecordMatchesLogRealRoute:
+    """from_floats, head and rearrange write the lists directly; the mapping
+    constructor builds them from LogReal values.  Both must agree."""
+
+    @staticmethod
+    def float_lists():
+        rng = random.Random(15)
+        pool = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, 1.5 * 2.0 ** -1060,
+                2.0 ** -1000, -(2.0 ** 1000), 1.75 * 2.0 ** 1001, 1.0, -1.0]
+        for _ in range(200):
+            xs = []
+            for _ in range(rng.randint(0, 20)):
+                pick = rng.random()
+                if pick < 0.3:
+                    xs.append(rng.choice(pool))
+                elif pick < 0.5 and xs:
+                    xs.append(rng.choice((-1.0, 1.0)) * abs(rng.choice(xs)))  # a repeated magnitude
+                else:
+                    xs.append(rng.choice((-1.0, 1.0)) * 2.0 ** rng.uniform(-1070.0, 1020.0))
+            yield xs
+
+    @staticmethod
+    def views(x):
+        return record(x), x.coords, x.render(), x.max_index, x.support_size
+
+    def test_from_floats_head_and_rearrange(self):
+        cases = 0
+        for xs in self.float_lists():
+            got = FiniteVector.from_floats(xs)
+            want = FiniteVector({i: LogReal.from_float(v) for i, v in enumerate(xs, start=1)})
+            assert self.views(got) == self.views(want)
+            for m in range(len(xs) + 2):
+                assert self.views(got.head(m)) == self.views(
+                    FiniteVector({i: v for i, v in want.coords.items() if i <= m})
+                )
+            packed = FiniteVector(
+                {i: LogReal(1, v) for i, v in enumerate(want.sorted_log2_magnitudes(), start=1)}
+            )
+            assert self.views(rearrange(got)) == self.views(packed)
+            cases += len(xs)
+        assert cases > 1000
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nan_and_inf_raise_on_both_routes(self, bad):
+        with pytest.raises(ValueError, match="cannot represent"):
+            FiniteVector.from_floats([1.0, bad])
+        with pytest.raises(ValueError, match="cannot represent"):
+            FiniteVector({1: LogReal.from_float(1.0), 2: LogReal.from_float(bad)})
 
 
 class TestModular:
@@ -130,7 +189,7 @@ class TestModular:
                 rho = LogReal(1, offset + rng.uniform(-10.0, 10.0))
                 want = ZERO
                 for v in x.coords.values():
-                    want = want + M.eval(abs(v) / rho)
+                    want = want + LogReal.from_log2(M.eval_log2((abs(v) / rho).log2mag))
                 got = modular(M, x, rho)
                 assert abs(got.log2mag - want.log2mag) <= 4e-15 * max(1.0, abs(want.log2mag))
 
@@ -165,7 +224,7 @@ class TestLuxemburgNorm:
         for _ in range(50):
             x = random_vector(rng, max_support=15)
             lam = LogReal(rng.choice([-1, 1]), rng.uniform(-8, 8))
-            left = luxemburg_norm(squares, x.scale(lam))
+            left = luxemburg_norm(squares, scaled(x, lam))
             right = luxemburg_norm(squares, x) * abs(lam)
             assert left.log2mag == pytest.approx(right.log2mag, abs=1e-10)
 
@@ -179,7 +238,7 @@ class TestLuxemburgNorm:
             }
             x = FiniteVector(coords)
             lam = LogReal.two_pow(rng.randint(-6, 6))
-            left = luxemburg_norm(squares, x.scale(lam))
+            left = luxemburg_norm(squares, scaled(x, lam))
             right = luxemburg_norm(squares, x) * lam
             assert left.log2mag == pytest.approx(right.log2mag, abs=1e-12)
 
@@ -188,7 +247,7 @@ class TestLuxemburgNorm:
         for _ in range(1000):
             x = random_vector(rng, max_support=10, log2_lo=-12, log2_hi=3)
             y = random_vector(rng, max_support=10, log2_lo=-12, log2_hi=3)
-            lhs = luxemburg_norm(squares, x + y).to_float()
+            lhs = luxemburg_norm(squares, added(x, y)).to_float()
             rhs = luxemburg_norm(squares, x).to_float() + luxemburg_norm(squares, y).to_float()
             assert lhs <= rhs * (1 + 1e-10)
 
@@ -237,7 +296,7 @@ class TestLuxemburgNorm:
     def test_single_coordinate_closed_form(self, squares):
         # ||c e_1|| = c / M^(-1)(1)
         c = LogReal.from_float(0.37)
-        want = c.log2mag - squares.inverse(LogReal.one()).log2mag
+        want = c.log2mag - squares.inverse_log2(0.0)
         got = luxemburg_norm(squares, FiniteVector({1: c}))
         assert got.log2mag == pytest.approx(want, abs=1e-11)
 
