@@ -169,7 +169,8 @@ class LogReal:
     @staticmethod
     def parse(text: str) -> "LogReal":
         """Inverse of render(); accepts decimals and the '±2^e' form.  A decimal
-        must be a finite double: inf, nan, 1e400 and 1e-400 raise ValueError."""
+        must be a finite double: inf, nan, 1e400 and 1e-400 raise ValueError,
+        and so do the exponents inf, nan and 1e400 of 2^e (2^-inf is 0)."""
         token = s = text.strip()
         if not s:
             raise ValueError("empty LogReal token")
@@ -179,7 +180,10 @@ class LogReal:
                 sign = -1
             s = s[1:]
         if s.startswith("2^"):
-            return LogReal(sign, float(s[2:]))
+            e = float(s[2:])
+            if math.isnan(e) or e == math.inf:
+                raise ValueError(f"token {token!r} needs a finite exponent, or -inf for 0")
+            return LogReal(sign, e)
         x = float(s)
         if math.isnan(x) or math.isinf(x):
             raise ValueError(f"token {token!r} is not a finite double; write it as 2^e")

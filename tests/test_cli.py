@@ -143,6 +143,7 @@ class TestErrors:
         ("norm", IDENT_FN, "1 1e-400", "token '1e-400'"),
         ("norm", IDENT_FN, "1e400 1", "token '1e400'"),
         ("norm", IDENT_FN, "1 nan", "token 'nan'"),
+        ("norm", IDENT_FN, "2^nan 1", "token '2^nan'"),
     ])
     def test_out_of_domain_input_is_named_in_one_line(
         self, tmp_path, capsys, command, fn, vec, named

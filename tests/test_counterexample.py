@@ -1,8 +1,9 @@
 """Slow-ratio slope construction, claim checks, greedy trace and probe."""
 
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 
@@ -42,6 +43,22 @@ class _DoubledC(CounterexampleSequences):
 
     def log2_c(self, j):
         return super().log2_c(j) + j
+
+
+class _ShrunkAlpha(CounterexampleSequences):
+    """alpha(j) divided by 2^shift for j >= 3 while b stays the unmodified
+    construction's, so claim 2 fails at some pairs and claims 1 and 3 pass."""
+
+    def __init__(self, depth, shift=1):
+        super().__init__(depth)
+        self._plain = CounterexampleSequences(depth)
+        self._shift = shift
+
+    def log2_alpha(self, j):
+        return CounterexampleSequences.log2_alpha(j) - self._shift * (j >= 3)
+
+    def log2_b(self, i):
+        return self._plain.log2_b(i)
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +225,8 @@ class TestClaims:
 
         rep = verify_claims(seqs, 25, [2])
         rows = [r for r in rep.rows if r.check == "claim2-alpha-shift"]
-        for r in rows[::37]:
+        assert len(rows) == 24
+        for r in rows:
             m, n = r.indices
             with mp.workdps(50):
                 want = mp.log(mp_alpha(m) * mp_b(n) / mp_b(m + n), 2)
@@ -217,6 +235,36 @@ class TestClaims:
     def test_jmax_validation(self, seqs):
         with pytest.raises(ValueError):
             verify_claims(seqs, 2, [2])
+
+    def test_shrunk_alpha_keeps_a_row_per_failing_pair(self):
+        bad = _ShrunkAlpha(30)
+        j_max = 40
+        rep = verify_claims(bad, j_max, [2])
+        failing = []  # brute force over all pairs, in (n, m) order
+        for n in range(2, j_max + 1):
+            for m in range(0, j_max - n + 1):
+                lhs = bad.log2_b(m + n)
+                rhs = bad.log2_alpha(m) + bad.log2_b(n)
+                if not lhs <= rhs:
+                    failing.append(((m, n), lhs, rhs))
+        assert len(failing) == 15
+        assert [(r.check, r.indices) for r in rep.rows if not r.passed] == [
+            ("claim2-alpha-shift", ij) for ij, _, _ in failing
+        ]
+        assert rep.summary["failures"] == 15
+        ij, lhs, rhs = failing[0]
+        assert ij == (3, 7)
+        assert rep.summary["first-witness"] == (
+            f"claim2-alpha-shift at {ij}: lhs={lhs} rhs={rhs}"
+        )
+
+    def test_rows_grow_linearly_in_jmax(self, seqs):
+        j_max, K_list = 800, [2, 4, 8, 16]
+        rep = verify_claims(seqs, j_max, K_list)
+        assert rep.summary["failures"] == 0
+        assert len(rep.rows) <= 2 * j_max + 2 * len(K_list)
+        # claim 1, every (m, n) pair of claim 2, two claim-3 rows per K
+        assert rep.summary["checks"] == j_max + j_max * (j_max - 1) // 2 + 2 * len(K_list)
 
 
 def _claims_per_call(seqs, j_max, K_list):
@@ -277,8 +325,25 @@ def _claims_per_call(seqs, j_max, K_list):
     return rows, summary
 
 
+def _one_claim2_row_per_n(rows):
+    """The reference rows with claim 2 cut to verify_claims' rows: per n, every
+    failing pair, else the m >= 1 of least margin (ties to the least m), else
+    m = 0; each noted with the pairs checked for its n."""
+    claim2 = [r for r in rows if r.check == "claim2-alpha-shift"]
+    cut = []
+    for _, group in groupby(claim2, key=lambda r: r.indices[1]):
+        group = list(group)
+        kept = [g for g in group if not g.passed] or sorted(
+            group, key=lambda g: (g.indices[0] == 0, g.margin_log2, g.indices[0])
+        )[:1]
+        cut += [replace(g, note=f"pairs checked: {len(group)}") for g in kept]
+    first = rows.index(claim2[0])
+    return rows[:first] + cut + rows[first + len(claim2):]
+
+
 class TestClaimsTabulated:
-    """verify_claims reads tables; it must match a call per term exactly."""
+    """verify_claims reads tables; it must match a call per term exactly, with
+    claim 2 cut to one row per n and the summary still counting every pair."""
 
     @pytest.mark.parametrize("depth", [20, 45, 90])
     @pytest.mark.parametrize("j_max", [3, 40, 80])
@@ -293,10 +358,19 @@ class TestClaimsTabulated:
         assert summary["failures"] > 0 and "first-witness" in summary
         assert any(r.passed for r in rows) and any(not r.passed for r in rows)
 
+    # shift 1 fails one pair per n, shift 8 up to five
+    @pytest.mark.parametrize("shift", [1, 8])
+    @pytest.mark.parametrize("j_max", [12, 20, 40])
+    def test_matches_per_call_scan_on_failing_claim2_rows(self, j_max, shift):
+        rows, summary = self._assert_same(_ShrunkAlpha(30, shift), j_max, [2, 3])
+        assert summary["first-witness"].startswith("claim2-alpha-shift at (3, 7)")
+        assert {r.check for r in rows if not r.passed} <= {"claim2-alpha-shift"}
+
     @staticmethod
     def _assert_same(seqs, j_max, K_list):
         rep = verify_claims(seqs, j_max, K_list)
-        rows, summary = _claims_per_call(seqs, j_max, K_list)
+        all_rows, summary = _claims_per_call(seqs, j_max, K_list)
+        rows = _one_claim2_row_per_n(all_rows)
         assert rep.rows == rows
         assert rep.summary == summary
         assert list(rep.summary) == list(summary)

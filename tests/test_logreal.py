@@ -1,6 +1,7 @@
 """Log-domain scalar arithmetic: identities, oracles, random agreement."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -191,6 +192,11 @@ class TestConversionRendering:
     )
     def test_decimal_outside_the_double_range_is_named(self, token):
         with pytest.raises(ValueError, match=f"token '{token}'"):
+            LogReal.parse(token)
+
+    @pytest.mark.parametrize("token", ["2^inf", "2^1e400", "2^nan", "-2^inf", "2^+Infinity"])
+    def test_pow2_token_without_finite_exponent_is_named(self, token):
+        with pytest.raises(ValueError, match=f"token '{re.escape(token)}'"):
             LogReal.parse(token)
 
     @pytest.mark.parametrize("token", ["0", "-0", "0.000", "0e-999", "-0.0e400", "+0E5"])
