@@ -170,7 +170,8 @@ class LogReal:
     def parse(text: str) -> "LogReal":
         """Inverse of render(); accepts decimals and the '±2^e' form.  A decimal
         must be a finite double: inf, nan, 1e400 and 1e-400 raise ValueError,
-        and so do the exponents inf, nan and 1e400 of 2^e (2^-inf is 0)."""
+        and so do the exponents inf, nan and 1e400 of 2^e (2^-inf is 0).  Every
+        error quotes the whole token."""
         token = s = text.strip()
         if not s:
             raise ValueError("empty LogReal token")
@@ -179,12 +180,15 @@ class LogReal:
             if s[0] == "-":
                 sign = -1
             s = s[1:]
-        if s.startswith("2^"):
-            e = float(s[2:])
-            if math.isnan(e) or e == math.inf:
+        pow2 = s.startswith("2^")
+        try:
+            x = float(s[2:] if pow2 else s)
+        except ValueError:
+            raise ValueError(f"token {token!r} is not a number") from None
+        if pow2:
+            if math.isnan(x) or x == math.inf:
                 raise ValueError(f"token {token!r} needs a finite exponent, or -inf for 0")
-            return LogReal(sign, e)
-        x = float(s)
+            return LogReal(sign, x)
         if math.isnan(x) or math.isinf(x):
             raise ValueError(f"token {token!r} is not a finite double; write it as 2^e")
         if x == 0.0:

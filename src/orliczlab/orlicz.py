@@ -217,6 +217,12 @@ class DyadicOrliczFunction:
             # single ray of slope b(0) above t = 1/2
             diff = log2_sub(ylog, self._logM[1])
             return log2_add(-1.0, diff - self._logb[0])
+        # M(2^-cap) >= b(cap) 2^(-cap-1), so when that bound already reaches
+        # ylog no table up to the cap holds a smaller breakpoint value; checked
+        # only when the table held now cannot serve the call
+        cap = _MAX_TABLE_DEPTH
+        if self._logM[-1] >= ylog and self.slopes.log2_slope(cap) - cap - 1.0 >= ylog:
+            raise ValueError("inverse argument below the supported scale")
         # grow the table a block at a time until it holds a breakpoint value
         # below ylog, then bisect the decreasing table for the first such n + 1
         depth = 8

@@ -212,21 +212,14 @@ def build_renorm_scheme(M: DyadicOrliczFunction, m: int, k_max: int) -> RenormSc
 # -- the renormed value ------------------------------------------------------
 
 
-def _head_values_log2(
-    M: DyadicOrliczFunction, eta: EtaSequence, sorted_log2: list[float]
-) -> list[float]:
-    """log2 eta_k + log2 ||(x*_1..x*_k)|| for every head k of a nonincreasing
-    magnitude list, from one prefix walk."""
-    eta_log2 = eta.ensure_valid(len(sorted_log2) + 1)
-    return [eta_log2[k] + h for k, h in enumerate(_prefix_norms_log2(M, sorted_log2), start=1)]
-
-
 def _triple_norm_log2(
     M: DyadicOrliczFunction, eta: EtaSequence, sorted_log2: list[float]
 ) -> tuple[float, int]:
-    if not sorted_log2:
-        return -math.inf, 0
-    vals = _head_values_log2(M, eta, sorted_log2)
+    """max over k of log2 eta_k + log2 ||(x*_1..x*_k)|| for a nonempty
+    nonincreasing magnitude list, and the smallest k within the tie slack of
+    it, from one prefix walk."""
+    eta_log2 = eta.ensure_valid(len(sorted_log2) + 1)
+    vals = [eta_log2[k] + h for k, h in enumerate(_prefix_norms_log2(M, sorted_log2), start=1)]
     best = max(vals)
     attaining = next(k for k, v in enumerate(vals, start=1) if v >= best - _TIE_SLACK_LOG2)
     return best, attaining
@@ -249,55 +242,29 @@ def triple_norm(
 
 def head_attainment_index(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector) -> int:
     """Smallest m >= 0 whose basis-order truncation already has the full
-    renormed value; 0 for the zero vector."""
-    m, _ = _head_attainment_search(M, eta, x)
-    return m
+    renormed value; 0 for the zero vector.
 
+    Order the support positions by magnitude, ties to the smaller position,
+    and let k0 be the attaining head that triple_norm reports for the sorted
+    magnitudes.  The answer is the support index at c, the largest position
+    among the top k0.
 
-def _head_attainment_search(
-    M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector
-) -> tuple[int, list[tuple[int, float]]]:
-    """Attainment index plus the (m, value) pair of every truncation walked,
-    the full vector first.
-
-    Order the support positions by magnitude, ties to the smaller position;
-    the top k of a truncation are then its first k positions in that order.
-    One walk over x gives its head values vals[k]; let A be the heads within
-    the slack of the target max(vals), and k0 the smallest of them.  The
-    candidate c is the largest position among the top k0.
-
-    The candidate needs no walk: its truncation holds x's top k0, so its
-    sorted magnitudes start with x's first k0, its first k0 head values are
-    the same bits (the walk over a prefix depends on that prefix alone), and
-    head k0 reaches the target.  No position left of c holds x's top k for
-    any k in A, since the largest position among the top k grows with k.
-
-    The confirm probe walks the truncation at c - 1.  If it falls short, so
-    does every smaller truncation (the value is nondecreasing in m) and c is
-    the answer.  If it reaches the target, it becomes the vector and the same
-    rule runs on its head values; its candidate lies left of c, so the
-    repeat ends by position 0.  Between support indices the truncation does
-    not change, so the answer is a support index.
+    The truncation at c reaches the value: it holds x's k0 largest
+    magnitudes, so its sorted list starts with the same k0 floats, and the
+    walk over a prefix depends on that prefix alone, so its head k0 has the
+    same bits.  No earlier truncation does: one that lacks position c has,
+    for every j, a j-th largest magnitude at most x's, strictly smaller at
+    c's rank, and M is strictly increasing, so each of its head norms lies
+    strictly below x's.  One walk therefore settles the index exactly.
     """
     if x.is_zero:
-        return 0, []
-    support, log2_mags = x.indices, x.log2mags
+        return 0
+    mags = x.log2mags
     # a stable sort keeps tied magnitudes in position order
-    order = sorted(range(len(support)), key=log2_mags.__getitem__, reverse=True)
-    vals = _head_values_log2(M, eta, [log2_mags[p] for p in order])
-    target = max(vals)
-    slack = _TIE_SLACK_LOG2 + abs(target) * 1e-12
-    probes = [(support[-1], target)]
-    while True:
-        k0 = next(k for k, v in enumerate(vals, start=1) if v >= target - slack)
-        c = max(order[:k0])
-        if c == 0:
-            return support[0], probes
-        order = [p for p in order if p < c]
-        vals = _head_values_log2(M, eta, [log2_mags[p] for p in order])
-        probes.append((support[c - 1], max(vals)))
-        if probes[-1][1] < target - slack:
-            return support[c], probes
+    order = sorted(range(len(mags)), key=mags.__getitem__, reverse=True)
+    # the private solver, so a wrapped triple_norm counts no extra call
+    _, k0 = _triple_norm_log2(M, eta, [mags[p] for p in order])
+    return x.indices[max(order[:k0])]
 
 
 def growth_index(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector) -> int:
@@ -318,7 +285,7 @@ def growth_index(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector) -> 
     eta_log2 = eta.ensure_valid(n + 1)
     head_norms = _prefix_norms_log2(M, x.sorted_log2_magnitudes())
     full = head_norms[-1]
-    for k in range(1, n + 1):
-        if eta_log2[k] + head_norms[k - 1] >= full - _TIE_SLACK_LOG2:
-            return k
-    raise AssertionError("growth index must exist at k = N")
+    # k = N passes, since log2 eta_N > 0
+    return next(
+        k for k, h in enumerate(head_norms, start=1) if eta_log2[k] + h >= full - _TIE_SLACK_LOG2
+    )

@@ -193,8 +193,6 @@ def _prefix_norms_log2(M: DyadicOrliczFunction, sorted_log2: list[float]) -> lis
     One walk serves every prefix: adding a coordinate raises the modular, so
     the root of prefix k - 1 is a valid start for prefix k (rule (a)).
     """
-    if not sorted_log2:
-        return []
     top = sorted_log2[0]
     walk = _NewtonWalk(M, M.inverse_log2(0.0))
     return [top - s for s in walk.prefix_roots(v - top for v in sorted_log2)]

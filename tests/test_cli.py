@@ -144,6 +144,9 @@ class TestErrors:
         ("norm", IDENT_FN, "1e400 1", "token '1e400'"),
         ("norm", IDENT_FN, "1 nan", "token 'nan'"),
         ("norm", IDENT_FN, "2^nan 1", "token '2^nan'"),
+        ("norm", IDENT_FN, "1 2^abc", "token '2^abc'"),
+        # M(t) >= 2^1e308 t on every segment the tables can reach
+        ("norm", "kind = pow2_poly\nc = -1e308\n", "1 1", "below the supported scale"),
     ])
     def test_out_of_domain_input_is_named_in_one_line(
         self, tmp_path, capsys, command, fn, vec, named

@@ -188,13 +188,17 @@ class TestConversionRendering:
             LogReal.parse("")
 
     @pytest.mark.parametrize(
-        "token", ["1e-400", "-1e-400", "0.5e-330", "1e400", "-1.8e308", "inf", "-inf", "nan", "Infinity"]
+        "token",
+        ["1e-400", "-1e-400", "0.5e-330", "1e400", "-1.8e308", "inf", "-inf", "nan", "Infinity", "-abc"],
     )
     def test_decimal_outside_the_double_range_is_named(self, token):
         with pytest.raises(ValueError, match=f"token '{token}'"):
             LogReal.parse(token)
 
-    @pytest.mark.parametrize("token", ["2^inf", "2^1e400", "2^nan", "-2^inf", "2^+Infinity"])
+    @pytest.mark.parametrize(
+        "token",
+        ["2^inf", "2^1e400", "2^nan", "-2^inf", "2^+Infinity", "2^abc", "2^", "-2^x1"],
+    )
     def test_pow2_token_without_finite_exponent_is_named(self, token):
         with pytest.raises(ValueError, match=f"token '{re.escape(token)}'"):
             LogReal.parse(token)

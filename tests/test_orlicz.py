@@ -231,6 +231,15 @@ class TestInverseBisection:
         with pytest.raises(ValueError, match="below the supported scale"):
             M.inverse_log2(-20.0)
 
+    def test_unreachable_argument_refused_before_the_table_grows(self):
+        # log2 b(n) = 1e308: M(2^-n) >= b(n) 2^(-n-1) stays far above 1 at
+        # every depth up to the cap
+        M = make_dyadic_plf(slopes_pow2_poly(0.0, 0.0, -1e308))
+        held = len(M.segment_tables(0)[1])
+        with pytest.raises(ValueError, match="below the supported scale"):
+            M.inverse_log2(0.0)
+        assert len(M.segment_tables(0)[1]) == held
+
 
 class TestRatioInf:
     def test_identity_constant_two(self, ident):
@@ -423,6 +432,29 @@ class TestRatioReport:
         assert rep.supremum == LogReal(1, 3.0)
         assert rep.arg_inf == (-1.0,)
         assert rep.arg_sup == (-2.0,)
+
+
+class TestClassifyTail:
+    @pytest.mark.parametrize(
+        "values, trend",
+        [
+            # too short to have a tail
+            ([], orlicz_mod.TREND_INCONCLUSIVE),
+            ([1.0, 2.0], orlicz_mod.TREND_INCONCLUSIVE),
+            # the running minimum still falls at the first of the last 4
+            # values, which rise from there
+            ([5.0, 4.0, 3.0, 2.0, 0.0, 1.0, 2.0, 3.0], orlicz_mod.TREND_INCONCLUSIVE),
+            # a dip, then a monotone rise
+            ([3.0, 2.0, 1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
+             orlicz_mod.TREND_INCREASING),
+            # a dip, then flat within the band
+            ([2.0, 1.0, 0.0, 4e-10, -4e-10, 0.0, 2e-10, 0.0], orlicz_mod.TREND_BOUNDED),
+            # a dip, then a tail that neither rises nor stays flat
+            ([2.0, 1.0, 0.0, 0.5, 0.2, 0.6, 0.3, 0.7], orlicz_mod.TREND_INCONCLUSIVE),
+        ],
+    )
+    def test_hand_built_series(self, values, trend):
+        assert orlicz_mod.classify_tail(values) == trend
 
 
 class TestFunctionSpecs:

@@ -17,6 +17,7 @@ from orliczlab import (
     geometric_slopes,
     greedy_nk,
     growth_index,
+    head_attainment_index,
     identity_slopes,
     luxemburg_norm,
     make_dyadic_plf,
@@ -31,7 +32,6 @@ from orliczlab import counterexample as counterexample_mod
 from orliczlab import renorm as renorm_mod
 from orliczlab import vectors as vectors_mod
 from orliczlab.counterexample import default_probe_t
-from orliczlab.renorm import _head_attainment_search
 from orliczlab.vectors import _prefix_norms_log2
 
 
@@ -487,8 +487,8 @@ class TestWalkMatchesPerPrefixResolve:
     def observe(M, eta, x):
         sl = x.sorted_log2_magnitudes()
         value, attaining = triple_norm(M, eta, x)
-        m, probes = _head_attainment_search(M, eta, x)
-        heads = [triple_norm(M, eta, x.head(j))[0].log2mag for j, _ in probes]
+        m = head_attainment_index(M, eta, x)
+        truncated = [triple_norm(M, eta, x.head(j))[0].log2mag for j in (m - 1, m, x.max_index)]
         return (
             vectors_mod._prefix_norms_log2(M, sl),
             vectors_mod._norm_log2(M, sl),
@@ -496,8 +496,7 @@ class TestWalkMatchesPerPrefixResolve:
             value.log2mag,
             attaining,
             m,
-            probes,
-            heads,
+            truncated,
             growth_index(M, eta, rearrange(x)),
         )
 
@@ -521,8 +520,10 @@ class TestWalkMatchesPerPrefixResolve:
         for x in self.vectors(rng, 30, range(1, 61)):
             got = self.observe(walk_M, eta, x)
             assert got == resolve(self.observe, ref_M, eta, x)
-            # each probe's value is the triple norm of its basis-order head
-            assert got[7] == [v for _, v in got[6]]
+            # the truncation at m holds head `attaining` with its bits, and
+            # the one before m falls short
+            before, at_m, full = got[6]
+            assert at_m >= full == got[3] and before < full
         # a fresh gauge per vector: the walk extends the tables while it runs
         for x in self.vectors(rng, 6, range(1, 61)):
             walk_fresh, ref_fresh = make_dyadic_plf(make()), make_dyadic_plf(make())
