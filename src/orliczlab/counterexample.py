@@ -18,7 +18,6 @@ decided exactly on the float log2 values, with no tolerance.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,7 +61,6 @@ class CounterexampleSequences:
         if self.max_b_index() > _MAX_TABLE_DEPTH:
             raise ValueError(f"depth {depth} reaches b({self.max_b_index()}), past the table cap")
         self._log2_c: list[float] = [0.0]
-        self._lock = threading.Lock()
 
     # -- raw sequences -----------------------------------------------------
 
@@ -78,15 +76,10 @@ class CounterexampleSequences:
         if j < 0:
             raise IndexError(f"c index must be >= 0, got {j}")
         table = self._log2_c
-        if j < len(table):  # the list only grows, so a hit needs no lock
-            return table[j]
-        with self._lock:
-            while len(table) <= j:
-                top = len(table) - 1
-                table.append(
-                    table[top] + self.log2_alpha(top) + self.log2_alpha(2 * top * top)
-                )
-            return table[j]
+        while len(table) <= j:
+            top = len(table) - 1
+            table.append(table[top] + self.log2_alpha(top) + self.log2_alpha(2 * top * top))
+        return table[j]
 
     @staticmethod
     def s(n: int) -> int:

@@ -7,8 +7,8 @@ tail sums M(2^(-n)) = sum_{j>=n} b(j) 2^(-j-1), truncated 56 terms past the
 end of each table block: the remainder is then below 2^-56 of every entry in
 the block, under half an ulp.
 
-Everything is computed in the base-2 log domain; breakpoint tables are cached
-with at-most-once insertion and are safe for concurrent readers.
+Everything is computed in the base-2 log domain; breakpoint tables are cached,
+and an entry never changes once computed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -132,8 +131,7 @@ class DyadicOrliczFunction:
 
     def __init__(self, slopes: SlopeSequence):
         self.slopes = slopes
-        self._lock = threading.Lock()
-        # published tables are replaced, never mutated, so readers need no lock
+        # tables are replaced, never mutated, so a list handed out stays valid
         self._logb: list[float] = []   # log2 b(n)
         self._logM: list[float] = []   # log2 M(2^(-n))
         self._depth = -1
@@ -153,24 +151,23 @@ class DyadicOrliczFunction:
             return
         if depth > _MAX_TABLE_DEPTH:
             raise ValueError(f"breakpoint depth {depth} exceeds the table cap {_MAX_TABLE_DEPTH}")
-        with self._lock:
-            while self._depth < depth:
-                first = self._depth + 1
-                end = min(2 * max(self._depth, 4), _MAX_TABLE_DEPTH)
-                hi = end + _LOOKAHEAD
-                logb_ext = [self.slopes.log2_slope(n) for n in range(first, hi + 1)]
-                # monotonicity across the extension seam and inside the new window
-                _check_log2_slopes(logb_ext, first, self._logb[-1] if self._logb else math.inf)
-                # tail sums, deepest first: logM[n] = log2(b(n) 2^(-n-1) + M(2^(-n-1)))
-                acc = -math.inf
-                new_logM = []
-                for n in range(hi, first - 1, -1):
-                    acc = log2_add(acc, logb_ext[n - first] - n - 1.0)
-                    if n <= end:
-                        new_logM.append(acc)
-                self._logM = self._logM + new_logM[::-1]
-                self._logb = self._logb + logb_ext[: end - first + 1]
-                self._depth = end
+        while self._depth < depth:
+            first = self._depth + 1
+            end = min(2 * max(self._depth, 4), _MAX_TABLE_DEPTH)
+            hi = end + _LOOKAHEAD
+            logb_ext = [self.slopes.log2_slope(n) for n in range(first, hi + 1)]
+            # monotonicity across the extension seam and inside the new window
+            _check_log2_slopes(logb_ext, first, self._logb[-1] if self._logb else math.inf)
+            # tail sums, deepest first: logM[n] = log2(b(n) 2^(-n-1) + M(2^(-n-1)))
+            acc = -math.inf
+            new_logM = []
+            for n in range(hi, first - 1, -1):
+                acc = log2_add(acc, logb_ext[n - first] - n - 1.0)
+                if n <= end:
+                    new_logM.append(acc)
+            self._logM = self._logM + new_logM[::-1]
+            self._logb = self._logb + logb_ext[: end - first + 1]
+            self._depth = end
 
     def breakpoint_log2(self, n: int) -> float:
         """log2 of M(2^(-n))."""

@@ -15,7 +15,6 @@ decreasing.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable
@@ -55,9 +54,8 @@ class EtaSequence:
     def __init__(self, log2_fn: Callable[[int], float], description: str):
         self._log2_fn = log2_fn
         self.description = description
-        self._lock = threading.Lock()
         # log2 eta_k at index k; index 0 is the +inf that eta_1 must lie below.
-        # The list is replaced, never mutated, so readers need no lock.
+        # Entries are only appended, so a table handed out stays valid.
         self._table = [math.inf]
 
     def __call__(self, k: int) -> float:
@@ -71,26 +69,20 @@ class EtaSequence:
     def ensure_valid(self, upto: int) -> list[float]:
         """Tabulate log2 eta_k through k = upto, checking that the rule stays
         above 1 and strictly decreases, and return the shared table (read it,
-        do not mutate it); idempotent and thread-safe."""
+        do not mutate it); idempotent."""
         table = self._table
         if upto < len(table):
             return table
-        with self._lock:
-            table = self._table
-            prev = table[-1]
-            ext = []
-            for k in range(len(table), upto + 1):
-                v = self._log2_fn(k)
-                if not v > 0.0:
-                    raise EtaInfeasibleError(k, v, f"eta_{k} = 2^{v} is not > 1")
-                if not v < prev:
-                    raise EtaInfeasibleError(
-                        k, v, f"log2 eta_{k} = {v} does not strictly decrease from {prev}"
-                    )
-                ext.append(v)
-                prev = v
-            self._table = table + ext
-            return self._table
+        for k in range(len(table), upto + 1):
+            v = self._log2_fn(k)
+            if not v > 0.0:
+                raise EtaInfeasibleError(k, v, f"eta_{k} = 2^{v} is not > 1")
+            if not v < table[-1]:
+                raise EtaInfeasibleError(
+                    k, v, f"log2 eta_{k} = {v} does not strictly decrease from {table[-1]}"
+                )
+            table.append(v)
+        return table
 
     @staticmethod
     def one_plus_pow2() -> "EtaSequence":
@@ -212,17 +204,29 @@ def build_renorm_scheme(M: DyadicOrliczFunction, m: int, k_max: int) -> RenormSc
 # -- the renormed value ------------------------------------------------------
 
 
-def _triple_norm_log2(
-    M: DyadicOrliczFunction, eta: EtaSequence, sorted_log2: list[float]
-) -> tuple[float, int]:
-    """max over k of log2 eta_k + log2 ||(x*_1..x*_k)|| for a nonempty
-    nonincreasing magnitude list, and the smallest k within the tie slack of
-    it, from one prefix walk."""
+def _renormed(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector) -> tuple[float, int, int]:
+    """log2 |||x|||, the smallest k attaining it and the growth index of a
+    nonzero x, within the tie slack, from one prefix walk.  They depend on
+    x's sorted magnitudes alone and table entries never change, so x keeps
+    them for this M and eta, compared by identity.
+    """
+    memo = x._renorm
+    if memo is not None and memo[0] is M and memo[1] is eta:
+        return memo[2]
+    sorted_log2 = x.sorted_log2_magnitudes()
     eta_log2 = eta.ensure_valid(len(sorted_log2) + 1)
-    vals = [eta_log2[k] + h for k, h in enumerate(_prefix_norms_log2(M, sorted_log2), start=1)]
+    head_norms = _prefix_norms_log2(M, sorted_log2)
+    vals = [eta_log2[k] + h for k, h in enumerate(head_norms, start=1)]
     best = max(vals)
-    attaining = next(k for k, v in enumerate(vals, start=1) if v >= best - _TIE_SLACK_LOG2)
-    return best, attaining
+    # each loop stops by k = N: at the maximum, and since log2 eta_N > 0
+    attaining = growth = 0
+    while vals[attaining] < best - _TIE_SLACK_LOG2:
+        attaining += 1
+    while vals[growth] < head_norms[-1] - _TIE_SLACK_LOG2:
+        growth += 1
+    record = best, attaining + 1, growth + 1
+    x._renorm = (M, eta, record)
+    return record
 
 
 def triple_norm(
@@ -236,7 +240,7 @@ def triple_norm(
     """
     if x.is_zero:
         return ZERO, 0
-    best, attaining = _triple_norm_log2(M, eta, x.sorted_log2_magnitudes())
+    best, attaining, _ = _renormed(M, eta, x)
     return LogReal.from_log2(best), attaining
 
 
@@ -249,21 +253,22 @@ def head_attainment_index(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVe
     magnitudes.  The answer is the support index at c, the largest position
     among the top k0.
 
-    The truncation at c reaches the value: it holds x's k0 largest
-    magnitudes, so its sorted list starts with the same k0 floats, and the
-    walk over a prefix depends on that prefix alone, so its head k0 has the
-    same bits.  No earlier truncation does: one that lacks position c has,
-    for every j, a j-th largest magnitude at most x's, strictly smaller at
-    c's rank, and M is strictly increasing, so each of its head norms lies
-    strictly below x's.  One walk therefore settles the index exactly.
+    The position order lists the same floats as the sorted magnitudes that
+    triple_norm walks: both are stable sorts of one sequence.  The truncation
+    at c reaches the value: it holds x's k0 largest magnitudes, so its sorted
+    list starts with the same k0 floats, and the walk over a prefix depends
+    on that prefix alone, so its head k0 has the same bits.  No earlier
+    truncation does: one that lacks position c has, for every j, a j-th
+    largest magnitude at most x's, strictly smaller at c's rank, and M is
+    strictly increasing, so each of its head norms lies strictly below x's.
+    One walk therefore settles the index exactly.
     """
     if x.is_zero:
         return 0
+    _, k0, _ = _renormed(M, eta, x)
     mags = x.log2mags
     # a stable sort keeps tied magnitudes in position order
     order = sorted(range(len(mags)), key=mags.__getitem__, reverse=True)
-    # the private solver, so a wrapped triple_norm counts no extra call
-    _, k0 = _triple_norm_log2(M, eta, [mags[p] for p in order])
     return x.indices[max(order[:k0])]
 
 
@@ -272,8 +277,7 @@ def growth_index(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector) -> 
     nonincreasing packed coordinates; k = N always qualifies."""
     if x.is_zero:
         raise ValueError("growth index needs a nonzero vector")
-    n = x.support_size
-    if x.max_index != n:
+    if x.max_index != x.support_size:
         raise ValueError("coordinates must be packed into indices 1..N")
     prev = math.inf
     for i, (sign, v) in enumerate(zip(x.signs, x.log2mags), start=1):
@@ -282,10 +286,4 @@ def growth_index(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector) -> 
         if v > prev:
             raise ValueError(f"coordinates must be nonincreasing, violated at index {i}")
         prev = v
-    eta_log2 = eta.ensure_valid(n + 1)
-    head_norms = _prefix_norms_log2(M, x.sorted_log2_magnitudes())
-    full = head_norms[-1]
-    # k = N passes, since log2 eta_N > 0
-    return next(
-        k for k, h in enumerate(head_norms, start=1) if eta_log2[k] + h >= full - _TIE_SLACK_LOG2
-    )
+    return _renormed(M, eta, x)[2]

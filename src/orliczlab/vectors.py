@@ -16,7 +16,7 @@ they end on the root once the segments stop moving.
 
 One walk, `_NewtonWalk`, computes a single norm or every prefix norm of a
 nonincreasing magnitude list.  It holds s, each point's segment n_i and the
-point's two terms, and four rules keep it cheap:
+point's two terms, and five rules keep it cheap:
 
 (a) Warm start.  Adding a coordinate raises the modular, so the root of
     prefix k - 1 is a start right of the root of prefix k; prefix k only
@@ -38,6 +38,9 @@ point's two terms, and four rules keep it cheap:
     holds for a step that did not raise s above the s at which the segments
     were taken; the first step from a rounded start can rise by a few ulps,
     segments could then move down, and such a step takes the full pass.
+(e) Underflow horizon.  A point more than 1 078 binades below the largest
+    adds 0.0 to both sums at every s the walk visits, so it changes no step:
+    the walk leaves it out and asks for no table down to its segment.
 
 The walk gives the same bits as re-solving every prefix from its start with
 every term recomputed at every step: each term comes from the same
@@ -54,7 +57,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping
-from operator import add
+from operator import add, neg
 
 from .logreal import LogReal, ZERO
 from .orlicz import DyadicOrliczFunction
@@ -65,10 +68,11 @@ class FiniteVector:
 
     The nonzero coordinates are held as three tuples in index order:
     `indices`, `signs` (each 1 or -1) and `log2mags`.  `LogReal` values are
-    built only when `get`, `coords` or `render` asks for them.
+    built only when `get`, `coords` or `render` asks for them.  `_renorm`
+    holds `renorm`'s record of x with the M and eta it is for, or None.
     """
 
-    __slots__ = ("indices", "signs", "log2mags")
+    __slots__ = ("indices", "signs", "log2mags", "_renorm")
 
     def __init__(self, coords: Mapping[int, LogReal] | Iterable[tuple[int, LogReal]]):
         items = coords.items() if isinstance(coords, Mapping) else coords
@@ -81,6 +85,7 @@ class FiniteVector:
         self.indices = tuple(sorted(stored))
         self.signs = tuple(stored[i].sign for i in self.indices)
         self.log2mags = tuple(stored[i].log2mag for i in self.indices)
+        self._renorm = None
 
     @classmethod
     def _from_lists(cls, indices: Iterable[int], signs: Iterable[int],
@@ -88,6 +93,7 @@ class FiniteVector:
         """A vector from index-ordered nonzero coordinates, taken as they are."""
         x = cls.__new__(cls)
         x.indices, x.signs, x.log2mags = tuple(indices), tuple(signs), tuple(log2mags)
+        x._renorm = None
         return x
 
     @staticmethod
@@ -156,7 +162,10 @@ class FiniteVector:
 def rearrange(x: FiniteVector) -> FiniteVector:
     """Decreasing rearrangement of the magnitudes, packed into indices 1..N."""
     n = x.support_size
-    return FiniteVector._from_lists(range(1, n + 1), [1] * n, x.sorted_log2_magnitudes())
+    y = FiniteVector._from_lists(range(1, n + 1), [1] * n, x.sorted_log2_magnitudes())
+    # the same sorted floats in the same order, so the same renormed record
+    y._renorm = x._renorm
+    return y
 
 
 def modular(M: DyadicOrliczFunction, x: FiniteVector, rho: LogReal) -> LogReal:
@@ -177,6 +186,20 @@ def luxemburg_norm(M: DyadicOrliczFunction, x: FiniteVector) -> LogReal:
     return LogReal.from_log2(_norm_log2(M, x.sorted_log2_magnitudes()))
 
 
+# Rule (e).  A point at rel r < 0 on segment n >= n_1 has the b term
+# 2^(lb - top + r) with lb = log2 b(n) <= top, so its exponent is at most r.
+# Its c term -c(n) / 2^scale is at most
+# b(n) 2^(s+r) / max(1, b(n_1) 2^(-n_1-1)), which is at most 2^(r+1): for
+# s <= 0 as b(n_1) >= b(n) and 2^(-n_1-1) >= 2^(s-1), and for s > 0 as
+# n_1 = 0 and b(0) 2^s <= 2 M(2^s), where M(2^s) <= 1 + 2^-40 since s never
+# passes log2 M^(-1)(1) by more than a few ulps.  Rounding lb - n - 1 - scale
+# adds under 2^-6 while |lb| < 2^44 (`squares` reaches that at the table
+# cap); a lower lb or a scale above 2^45 puts the exponent far below -1076
+# alone.  2.0 ** e is 0.0 for e <= -1076, so both terms are 0.0 below
+# rel -1077.02; the horizon keeps a binade of margin.
+_HORIZON = -1078.0
+
+
 def _norm_log2(M: DyadicOrliczFunction, sorted_log2: list[float]) -> float:
     """log2 Luxemburg norm of a nonempty nonincreasing magnitude list.
 
@@ -184,7 +207,10 @@ def _norm_log2(M: DyadicOrliczFunction, sorted_log2: list[float]) -> float:
     already brings the modular to 1.
     """
     top = sorted_log2[0]
-    return top - _NewtonWalk(M, M.inverse_log2(0.0)).root([v - top for v in sorted_log2])
+    rel = [v - top for v in sorted_log2]
+    if rel[-1] < _HORIZON:  # rule (e), tested on the smallest point alone
+        del rel[bisect_right(rel, -_HORIZON, key=neg):]
+    return top - _NewtonWalk(M, M.inverse_log2(0.0)).root(rel)
 
 
 def _prefix_norms_log2(M: DyadicOrliczFunction, sorted_log2: list[float]) -> list[float]:
@@ -194,8 +220,15 @@ def _prefix_norms_log2(M: DyadicOrliczFunction, sorted_log2: list[float]) -> lis
     the root of prefix k - 1 is a valid start for prefix k (rule (a)).
     """
     top = sorted_log2[0]
+    rel = [v - top for v in sorted_log2]
+    if rel[-1] < _HORIZON:  # rule (e)
+        del rel[bisect_right(rel, -_HORIZON, key=neg):]
     walk = _NewtonWalk(M, M.inverse_log2(0.0))
-    return [top - s for s in walk.prefix_roots(v - top for v in sorted_log2)]
+    roots = walk.prefix_roots(rel)
+    for _ in range(len(sorted_log2) - len(rel)):
+        # a point past the horizon adds 0.0 terms: settle from the held ones
+        roots.append(walk._settle(walk.s, walk._step()))
+    return [top - s for s in roots]
 
 
 class _NewtonWalk:
@@ -251,31 +284,40 @@ class _NewtonWalk:
     def prefix_roots(self, rels: Iterable[float]) -> list[float]:
         """Append the points one at a time and return the root after each.
 
-        Each prefix gives the bits of `root((r,))` (rule (a)).
+        Each prefix gives the bits of `root((r,))` (rule (a)).  `_settle` runs
+        only when its first test, made here, cannot stop the walk.
         """
         M, rel, neg_c, b_terms = self.M, self.rel, self.neg_c, self.b_terms
+        s, reach, top, scale, seg = self.s, self.reach, self.top, self.scale, self.seg
         floor, log2, fsum = math.floor, math.log2, math.fsum
         logb = logM = []
         roots = []
         for r in rels:
-            s = self.s
             n = floor(-s - r)
             if n < 0:
                 n = 0
             if n + 1 >= len(logM):
                 logb, logM = M.segment_tables(n + 1)
             rel.append(r)
-            self.seg.append(n)
-            if -r - n - 1 > self.reach:
-                self.reach = -r - n - 1
-            if self.seg[0] != self.n1:
-                self._frame(logb, self.seg[0])
-            top, scale = self.top, self.scale
+            seg.append(n)
+            if -r - n - 1 > reach:
+                reach = -r - n - 1
+            if seg[0] != self.n1:
+                self._frame(logb, seg[0])
+                top, scale = self.top, self.scale
             lb = logb[n]
             neg_c.append(2.0 ** (lb - n - 1 - scale) - 2.0 ** (logM[n + 1] - scale))
             b_terms.append(2.0 ** (lb - top + r))
             nxt = scale + log2(2.0 ** -scale + fsum(neg_c)) - log2(fsum(b_terms)) - top
-            roots.append(self._settle(s, nxt))
+            # `_settle`'s rule (d) test, with rel[-1] = r and seg[-1] = n
+            if nxt <= s and nxt > reach + 2.0 ** -50 * (abs(nxt) - r + n + 1):
+                s = nxt
+            else:
+                self.reach = reach
+                s = self._settle(s, nxt)
+                reach, top, scale, seg = self.reach, self.top, self.scale, self.seg
+            roots.append(s)
+        self.s, self.reach = s, reach
         return roots
 
     def _settle(self, seg_s: float, nxt: float) -> float:

@@ -38,6 +38,26 @@ class TestCommands:
         assert code == EXIT_OK
         assert "3.99999999999" in out or "4.0" in out
 
+    @pytest.mark.parametrize("fn, vec", [
+        (SQUARES_FN, "1 2^-3000000"),
+        # the table cap is 4 000 000
+        (SQUARES_FN, "1 2^-5000000"),
+        # a n^2 overflows at n = 13408, far below the point's segment
+        ("kind = pow2_poly\na = 1e300\n", "1 2^-20000"),
+    ])
+    def test_norm_past_the_horizon(self, tmp_path, capsys, fn, vec):
+        # a coordinate more than 1 078 binades below the largest adds exact
+        # zeros to the modular, so the norm is that of the largest alone
+        (tmp_path / "f.fn").write_text(fn, encoding="utf-8")
+        values = []
+        for text in (vec, "1"):
+            (tmp_path / "v.vec").write_text(text, encoding="utf-8")
+            code = main(["norm", "--function", str(tmp_path / "f.fn"),
+                         "--vector", str(tmp_path / "v.vec"), "--format", "json"])
+            assert code == EXIT_OK
+            values.append(json.loads(capsys.readouterr().out)["summary"]["value"])
+        assert values[0] == values[1]
+
     def test_claims_all_pass(self, files, tmp_path):
         out = tmp_path / "claims.csv"
         code = main(
@@ -137,8 +157,9 @@ class TestErrors:
         # log2 b(n) = -inf, a zero slope, from index 0
         ("norm", "kind = pow2_poly\nc = inf\n", "3 1", "slope at index 0 "),
         ("probe", "kind = pow2_poly\nc = inf\n", "3 1", "slope at index 0 "),
-        # a n^2 overflows at n = 13408, which the point 2^-20000 reaches
-        ("norm", "kind = pow2_poly\na = 1e300\n", "1 2^-20000", "slope at index 13408 "),
+        # a n^2 overflows at n = 424, which the point 2^-1000 reaches; it lies
+        # inside the walk's underflow horizon, so its segment is looked up
+        ("norm", "kind = pow2_poly\na = 1e303\n", "1 2^-1000", "slope at index 424 "),
         # decimals outside the double range; 2^e tokens write them
         ("norm", IDENT_FN, "1 1e-400", "token '1e-400'"),
         ("norm", IDENT_FN, "1e400 1", "token '1e400'"),

@@ -149,27 +149,6 @@ class TestSequences:
         with pytest.raises(ValueError, match="past the table cap"):
             CounterexampleSequences(10**8)
 
-    def test_memo_tables_concurrent_reads(self):
-        import threading
-
-        fresh = gen_sequences(30)
-        errors = []
-
-        def worker(start):
-            try:
-                for i in range(start, 300, 11):
-                    v = fresh.log2_b(i)
-                    assert v == fresh.log2_b(i)
-            except Exception as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-
 
 class TestClaims:
     def test_all_pass_at_depth_40(self, seqs):

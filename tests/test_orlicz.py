@@ -2,7 +2,6 @@
 
 import math
 import random
-import threading
 
 import mpmath as mp
 import pytest
@@ -494,30 +493,6 @@ class TestFunctionSpecs:
     def test_unknown_keys_rejected(self, text, key):
         with pytest.raises(ValueError, match=f"does not read the key '{key}'"):
             parse_function_spec(text)
-
-
-class TestConcurrentCache:
-    def test_breakpoint_cache_under_concurrent_readers(self):
-        M = make_dyadic_plf(squares_slopes())
-        errors = []
-
-        def worker(seed):
-            try:
-                for n in range(seed, 400, 7):
-                    v = M.breakpoint_log2(n)
-                    assert v == M.breakpoint_log2(n)
-            except Exception as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        # values are the first-computed ones and stay put
-        v = M.breakpoint_log2(123)
-        assert M.breakpoint_log2(123) == v
 
 
 TABLE_GAUGES = {

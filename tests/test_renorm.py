@@ -26,6 +26,7 @@ from orliczlab import (
 )
 from orliczlab import renorm as renorm_mod
 from orliczlab import squares_slopes
+from orliczlab.vectors import _prefix_norms_log2
 
 
 def scaled(x, lam):
@@ -136,25 +137,6 @@ class TestBuildEta:
         eta = build_eta(lambda k: LogReal.two_pow(2 * k), 20)
         assert eta(25) < eta(21) < eta(20)
         assert eta(25) > 1.0
-
-    def test_lazy_revalidation_concurrent(self):
-        import threading
-
-        eta = build_eta(lambda k: LogReal.two_pow(2 * k), 60)
-        errors = []
-
-        def worker(upto):
-            try:
-                eta.ensure_valid(upto)
-            except Exception as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(10 * i,)) for i in range(1, 7)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
 
     def test_wobbly_bk_still_strictly_decreasing(self):
         # a dip in b_k must not produce a flat or rising eta stretch
@@ -357,16 +339,48 @@ class TestHeadAttainment:
                 prev = v.log2mag
 
 
+# -- the separate-walk functions, kept as the record's oracle -----------------
+#
+# Each walks the sorted magnitudes on its own, as the library did before the
+# renormed record was kept on the vector.
+
+
+def ref_triple_norm_log2(M, eta, sorted_log2):
+    """max over k of log2 eta_k + log2 ||(x*_1..x*_k)||, and the smallest k
+    within the tie slack of it."""
+    eta_log2 = eta.ensure_valid(len(sorted_log2) + 1)
+    vals = [eta_log2[k] + h for k, h in enumerate(_prefix_norms_log2(M, sorted_log2), start=1)]
+    best = max(vals)
+    slack = renorm_mod._TIE_SLACK_LOG2
+    return best, next(k for k, v in enumerate(vals, start=1) if v >= best - slack)
+
+
+def ref_head_attainment_index(M, eta, x):
+    mags = x.log2mags
+    order = sorted(range(len(mags)), key=mags.__getitem__, reverse=True)
+    _, k0 = ref_triple_norm_log2(M, eta, [mags[p] for p in order])
+    return x.indices[max(order[:k0])]
+
+
+def ref_growth_index(M, eta, x):
+    sorted_log2 = x.sorted_log2_magnitudes()
+    eta_log2 = eta.ensure_valid(len(sorted_log2) + 1)
+    head_norms = _prefix_norms_log2(M, sorted_log2)
+    slack = renorm_mod._TIE_SLACK_LOG2
+    return next(k for k, h in enumerate(head_norms, start=1)
+                if eta_log2[k] + h >= head_norms[-1] - slack)
+
+
 def ref_head_attainment_search(M, eta, x):
     """Reference attainment index: bisection over the support indices, with
     every probe a fresh triple norm of the truncation."""
-    target, _ = renorm_mod._triple_norm_log2(M, eta, x.sorted_log2_magnitudes())
+    target, _ = ref_triple_norm_log2(M, eta, x.sorted_log2_magnitudes())
     slack = renorm_mod._TIE_SLACK_LOG2 + abs(target) * 1e-12
     support = list(x.coords)
     log2_mags = [v.log2mag for v in x.coords.values()]
 
     def reaches(pos):
-        v, _ = renorm_mod._triple_norm_log2(M, eta, sorted(log2_mags[: pos + 1], reverse=True))
+        v, _ = ref_triple_norm_log2(M, eta, sorted(log2_mags[: pos + 1], reverse=True))
         return v >= target - slack
 
     lo, hi = 0, len(support) - 1
@@ -488,3 +502,105 @@ class TestGrowthIndex:
             x = FiniteVector({i: LogReal.two_pow(-0.8 * i) for i in range(1, n + 1)})
             got.append(growth_index(squares, eta_pow2, x))
         assert got[1] == got[2]
+
+
+class TestRenormedRecord:
+    """One prefix walk per vector, M and eta serves every renormed view."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The support sizes of the prefix walks the renorm views make."""
+        sizes = []
+        walk = renorm_mod._prefix_norms_log2
+
+        def counted(M, sorted_log2):
+            sizes.append(len(sorted_log2))
+            return walk(M, sorted_log2)
+
+        monkeypatch.setattr(renorm_mod, "_prefix_norms_log2", counted)
+        return sizes
+
+    @staticmethod
+    def c05_vectors(rng, count):
+        """Random signs and log2 magnitudes in [-40, 3] on supports of 1..50."""
+        for _ in range(count):
+            n = rng.randint(1, 50)
+            yield FiniteVector({i: LogReal(rng.choice((-1, 1)), rng.uniform(-40.0, 3.0))
+                                for i in range(1, n + 1)})
+
+    def test_one_walk_serves_every_view(self, squares, eta_pow2, walks):
+        for x in self.c05_vectors(random.Random("one-walk"), 200):
+            walks.clear()
+            triple_norm(squares, eta_pow2, x)
+            packed = rearrange(x)
+            triple_norm(squares, eta_pow2, packed)
+            head_attainment_index(squares, eta_pow2, x)
+            growth_index(squares, eta_pow2, packed)
+            head_attainment_index(squares, eta_pow2, packed)
+            assert walks == [x.support_size]
+        # a packed vector, starting from growth_index
+        x = FiniteVector({i: LogReal(1, -i / 4) for i in range(1, 41)})
+        walks.clear()
+        assert growth_index(squares, eta_pow2, x) <= triple_norm(squares, eta_pow2, x)[1]
+        head_attainment_index(squares, eta_pow2, x)
+        assert walks == [40]
+
+    def test_other_function_or_eta_walks_again(self, squares, geom, eta_pow2, walks):
+        # a twin gauge is a different object, so it gets a walk of its own
+        twin = make_dyadic_plf(squares_slopes())
+        scheme_eta = build_renorm_scheme(squares, 1, 52).eta
+        for x in self.c05_vectors(random.Random("other-walk"), 40):
+            walks.clear()
+            for M, eta in ((squares, eta_pow2), (squares, scheme_eta), (twin, scheme_eta),
+                           (geom, scheme_eta), (squares, eta_pow2), (squares, eta_pow2)):
+                sl = x.sorted_log2_magnitudes()
+                value, k = triple_norm(M, eta, x)
+                assert (value.log2mag, k) == ref_triple_norm_log2(M, eta, sl)
+                assert head_attainment_index(M, eta, x) == ref_head_attainment_index(M, eta, x)
+            # the slot holds one record: the return to (squares, eta_pow2)
+            # walks again, and its repeat does not
+            assert walks == [x.support_size] * 5
+
+    def test_truncation_does_not_inherit(self, squares, eta_pow2, walks):
+        for x in self.c05_vectors(random.Random("head-walk"), 40):
+            triple_norm(squares, eta_pow2, x)
+            m = head_attainment_index(squares, eta_pow2, x)
+            head = x.head(m)
+            assert head._renorm is None
+            walks.clear()
+            value, k = triple_norm(squares, eta_pow2, head)
+            assert walks == [head.support_size]
+            assert (value.log2mag, k) == ref_triple_norm_log2(
+                squares, eta_pow2, head.sorted_log2_magnitudes())
+
+    def test_growth_index_validates_with_a_record(self, squares, eta_pow2):
+        x = FiniteVector.from_floats([0.5, 0.7])
+        triple_norm(squares, eta_pow2, x)
+        with pytest.raises(ValueError, match="nonincreasing"):
+            growth_index(squares, eta_pow2, x)
+
+    @staticmethod
+    def deep_packed():
+        """Packed a_i = 2^(-i/s); the attaining k is 79 at (16, 90) and 148 at
+        (32, 160), where the tie slack decides it, and N = 1 073 is the
+        largest support that eta = 1 + 2^-k tabulates."""
+        for s, n in ((16, 90), (32, 160), (16, 300), (4, 1073), (32, 1073)):
+            yield FiniteVector({i: LogReal(1, -i / s) for i in range(1, n + 1)})
+
+    def test_bits_equal_separate_walks(self, squares, geom, eta_pow2):
+        scheme_eta = build_renorm_scheme(squares, 1, 52).eta
+        rng = random.Random("record-bits")
+        cases = [(squares, scheme_eta, x) for x in self.c05_vectors(rng, 300)]
+        cases += [(M, eta_pow2, x) for x in attainment_vectors(rng, 300) for M in (squares, geom)]
+        cases += [(M, eta_pow2, x) for x in self.deep_packed() for M in (squares, geom)]
+        attaining = []
+        for M, eta, x in cases:
+            sl = x.sorted_log2_magnitudes()
+            value, k = triple_norm(M, eta, x)
+            assert (value.log2mag, k) == ref_triple_norm_log2(M, eta, sl)
+            packed = rearrange(x)
+            assert triple_norm(M, eta, packed)[0] == value
+            assert head_attainment_index(M, eta, x) == ref_head_attainment_index(M, eta, x)
+            assert growth_index(M, eta, packed) == ref_growth_index(M, eta, packed)
+            attaining.append(k)
+        assert {79, 148} <= set(attaining[-10:])

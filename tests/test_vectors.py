@@ -687,3 +687,73 @@ class TestPrefixRoots:
         got = vectors_mod._prefix_norms_log2(M, sl)
         assert calls <= 100
         assert got[:200] == want
+
+
+class TestUnderflowHorizon:
+    @staticmethod
+    def straddling(M, rng):
+        """Relative log2 magnitudes whose tails lie from 1 070 to 1 090 binades down.
+
+        Some tails are uniform, and some sit on the segment thresholds -s - m
+        of the head's root s.
+        """
+        for _ in range(40):
+            head = [0.0] + sorted((rng.uniform(-30.0, 0.0) for _ in range(rng.randint(0, 12))),
+                                  reverse=True)
+            tail = sorted((rng.uniform(-1090.0, -1070.0) for _ in range(rng.randint(1, 12))),
+                          reverse=True)
+            yield head + tail
+        for n in (1, 2, 3, 5, 8):
+            head = [0.0] + [float(rng.randint(-8, 0)) for _ in range(n - 1)]
+            head.sort(reverse=True)
+            s = M.inverse_log2(0.0)
+            for k in range(1, len(head) + 1):
+                s = _resolve_root_log2(M, head[:k], s)
+            yield head + [-s - m for m in range(1070, 1091)]
+
+    @pytest.mark.parametrize("gauge", sorted(GOLDEN_GAUGES))
+    def test_straddling_tails_match_per_prefix_resolve(self, gauge):
+        make = GOLDEN_GAUGES[gauge]
+        walk_M, ref_M = make_dyadic_plf(make()), make_dyadic_plf(make())
+        rng = random.Random(f"horizon-{gauge}")
+        for rel in self.straddling(make_dyadic_plf(make()), rng):
+            sl = [v + 5.0 for v in rel]
+            want = _resolve_prefix_norms_log2(ref_M, sl)
+            assert vectors_mod._prefix_norms_log2(walk_M, sl) == want
+            assert vectors_mod._norm_log2(walk_M, sl) == _resolve_norm_log2(ref_M, sl)
+
+    @pytest.mark.parametrize("e", [3_000_000, 5_000_000])
+    def test_tiny_coordinate_builds_no_deep_table(self, e):
+        # no table down to the point's segment: 3 000 000 entries take
+        # 381 MB, and 5 000 000 lie past the table cap
+        M = make_dyadic_plf(squares_slopes())
+        eta = EtaSequence.one_plus_pow2()
+        one = FiniteVector({1: LogReal.one()})
+        x = FiniteVector({1: LogReal.one(), 2: LogReal.two_pow(-e)})
+        assert luxemburg_norm(M, x) == luxemburg_norm(M, one)
+        assert triple_norm(M, eta, x)[0] == triple_norm(M, eta, one)[0]
+        assert vectors_mod._prefix_norms_log2(M, [0.0, -e]) == 2 * _prefix_norms_log2(M, [0.0])
+        # the tables are still those of a fresh function
+        assert M.segment_tables(0) == make_dyadic_plf(squares_slopes()).segment_tables(0)
+
+    @pytest.mark.parametrize("gauge", sorted(GOLDEN_GAUGES))
+    def test_settle_matches_appended_far_points(self, gauge):
+        """Settling from the held terms gives the roots `prefix_roots` gives for
+        points past the horizon, also from a held s that the step moves off."""
+        make = GOLDEN_GAUGES[gauge]
+        M = make_dyadic_plf(make())
+        rng = random.Random(f"far-points-{gauge}")
+        moved = 0
+        for _ in range(30):
+            rel = [0.0] + sorted((rng.uniform(-30.0, 0.0) for _ in range(rng.randint(0, 12))),
+                                 reverse=True)
+            for ulps in (-2, -1, 0, 1, 2):
+                far, zero = (vectors_mod._NewtonWalk(M, M.inverse_log2(0.0)) for _ in range(2))
+                for walk in (far, zero):
+                    walk.prefix_roots(rel)
+                    for _ in range(abs(ulps)):
+                        walk.s = math.nextafter(walk.s, math.copysign(math.inf, ulps))
+                moved += zero._step() != zero.s
+                want = far.prefix_roots([-2000.0, -2001.0, -3000.0])
+                assert want == [zero._settle(zero.s, zero._step()) for _ in range(3)]
+        assert moved > 0
