@@ -2,8 +2,9 @@
 
 Subcommands dispatch to the library and emit a report in csv, json or text
 form.  Exit status: 0 when every check passed, 1 on check failures or
-infeasibility, 2 on usage or parse errors.  Given the same inputs and seed,
-reruns produce byte-identical output.
+infeasibility, 2 on usage or parse errors and an unwritable ``--out``, each
+told in one line that names the option or input.  Given the same inputs and
+seed, reruns produce byte-identical output.
 
 File formats, bit-exactly:
 
@@ -13,9 +14,8 @@ File formats, bit-exactly:
 * vector files: whitespace-separated tokens, one coordinate per token in
   index order starting at 1; a token is a decimal (``0.25``, ``-1.5e-3``) or
   a signed power of two (``2^-100``, ``-2^3.5``); zeros are dropped.
-* config files: ``key = value`` lines with the long-flag names
-  (``function_path``, ``vector_path``, ``m``, ``depth``, ``k_list``, ``q``,
-  ``seed``, ``out``, ``fmt``); explicit flags override.
+* config files: ``key = value`` lines whose keys are the `SuiteConfig` field
+  names that `_OPTIONS` lists with their flags; explicit flags override.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ def _sequences_for(M) -> CounterexampleSequences:
 
 def run_suite(config: SuiteConfig) -> Report:
     """Dispatch a configured command and return its report."""
+    M = _load_function(config)
     if config.command == "norm":
-        M = _load_function(config)
         x = _load_vector(config)
         value = luxemburg_norm(M, x)
         row = CheckRow(
@@ -113,7 +113,6 @@ def run_suite(config: SuiteConfig) -> Report:
         )
 
     if config.command == "renorm":
-        M = _load_function(config)
         scheme = build_renorm_scheme(M, config.m, config.depth)
         rows = [
             CheckRow(
@@ -137,22 +136,15 @@ def run_suite(config: SuiteConfig) -> Report:
         )
 
     if config.command == "claims":
-        M = _load_function(config)
-        seqs = _sequences_for(M)
-        return verify_claims(seqs, config.depth, config.k_list)
+        return verify_claims(_sequences_for(M), config.depth, config.k_list)
 
     if config.command == "ratio-bound":
-        M = _load_function(config)
-        seqs = _sequences_for(M)
-        return ratio_bound_check(seqs, M, config.m, config.depth)
+        return ratio_bound_check(_sequences_for(M), M, config.m, config.depth)
 
     if config.command == "probe":
-        M = _load_function(config)
-        eta = EtaSequence.one_plus_pow2()
-        return attainment_failure_probe(M, eta, config.depth)
+        return attainment_failure_probe(M, EtaSequence.one_plus_pow2(), config.depth)
 
     if config.command == "cq":
-        M = _load_function(config)
         report = compute_cq(M, config.q, config.m, config.depth)
         rows = [
             CheckRow(
@@ -175,7 +167,6 @@ def run_suite(config: SuiteConfig) -> Report:
         )
 
     if config.command == "norming-family":
-        M = _load_function(config)
         eta = EtaSequence.one_plus_pow2()
 
         def oracle(v: FiniteVector) -> LogReal:
@@ -212,6 +203,24 @@ def run_suite(config: SuiteConfig) -> Report:
     raise AssertionError(f"unhandled command {config.command}")
 
 
+def _int_list(raw: str) -> list[int]:
+    return [int(tok) for tok in raw.replace(",", " ").split()]
+
+
+# SuiteConfig field -> (flag, reader of flag and config values, help, metavar)
+_OPTIONS = {
+    "function_path": ("--function", str, "function spec file", None),
+    "vector_path": ("--vector", str, "vector file", None),
+    "m": ("--m", int, "scaling exponent / first grid range", None),
+    "depth": ("--depth", int, "scan depth / second grid range", None),
+    "k_list": ("--k-list", _int_list, "comma-separated scaling factors", None),
+    "q": ("--q", float, "power exponent for the cq scan", None),
+    "seed": ("--seed", int, "seed for randomized suites", None),
+    "out": ("--out", str, "output path (default stdout)", None),
+    "fmt": ("--format", str, "output format", "{" + ",".join(FORMATS) + "}"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="orliczlab",
@@ -220,59 +229,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", help="optional key=value config file; flags override")
-    p.add_argument("--function", dest="function_path", help="function spec file")
-    p.add_argument("--vector", dest="vector_path", help="vector file")
-    p.add_argument("--m", type=int, help="scaling exponent / first grid range")
-    p.add_argument("--depth", type=int, help="scan depth / second grid range")
-    p.add_argument("--k-list", dest="k_list", help="comma-separated scaling factors")
-    p.add_argument("--q", type=float, help="power exponent for the cq scan")
-    p.add_argument("--seed", type=int, help="seed for randomized suites")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", dest="fmt", choices=FORMATS, help="output format")
+    for key, (flag, _, help_, metavar) in _OPTIONS.items():
+        p.add_argument(flag, dest=key, help=help_, metavar=metavar)
     return p
 
 
 def _config_from_args(args: argparse.Namespace) -> SuiteConfig:
+    flags = {key: raw for key in _OPTIONS if (raw := getattr(args, key)) is not None}
+    lines = parse_key_values(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     values: dict[str, object] = {}
-    if args.config:
-        kv = parse_key_values(Path(args.config).read_text(encoding="utf-8"))
-        for key, raw in kv.items():
-            if key in ("m", "depth", "seed"):
-                values[key] = int(raw)
-            elif key == "q":
-                values[key] = float(raw)
-            elif key == "k_list":
-                values[key] = [int(tok) for tok in raw.replace(",", " ").split()]
-            elif key in ("function_path", "vector_path", "out", "fmt"):
-                values[key] = raw
-            else:
-                raise ValueError(f"unknown config key {key!r}")
-    for key in ("function_path", "vector_path", "m", "depth", "q", "seed", "out", "fmt"):
-        v = getattr(args, key, None)
-        if v is not None:
-            values[key] = v
-    if args.k_list is not None:
-        values["k_list"] = [int(tok) for tok in args.k_list.replace(",", " ").split()]
+    for key, raw in [*flags.items(), *lines.items()]:
+        if key not in _OPTIONS:
+            raise ValueError(f"unknown config key {key!r}")
+        try:
+            value = _OPTIONS[key][1](raw)
+        except ValueError as exc:
+            raise ValueError(f"{key} = {raw!r}: {exc}") from None
+        values.setdefault(key, value)  # flags come first and win
     return SuiteConfig(command=args.command, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-    except (ValueError, OSError) as exc:
-        print(f"orliczlab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         report = run_suite(config)
-    except EtaInfeasibleError as exc:
-        print(f"orliczlab: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        text = emit_report(report, config.fmt, config.out)
     except (ValueError, OSError) as exc:
+        # a failed check exits 1, and so does an infeasible eta construction
         print(f"orliczlab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    text = emit_report(report, config.fmt, config.out)
+        return EXIT_CHECK_FAILED if isinstance(exc, EtaInfeasibleError) else EXIT_USAGE
     if config.out is None:
         sys.stdout.write(text)
     return EXIT_OK if report.passed_all else EXIT_CHECK_FAILED

@@ -35,14 +35,17 @@ def triangular(n: int) -> int:
 
 
 def row_of_index(i: int) -> tuple[int, int]:
-    """The unique (n, k) with i = s(n) + k, n >= 1, 1 <= k <= n + 1 (i >= 2)."""
+    """The unique (n, k) with i = s(n) + k, n >= 1, 1 <= k <= n + 1 (i >= 2).
+
+    n is the largest integer with s(n) < i, that is s(n) <= i - 1, which is
+    (2n + 1)^2 <= 8(i - 1) + 1.  For the integer 2n + 1 that holds exactly
+    when 2n + 1 <= isqrt(8(i - 1) + 1), so n = (isqrt(8(i - 1) + 1) - 1) // 2,
+    in integers throughout.  Then s(n) < i <= s(n + 1) gives 1 <= k <= n + 1,
+    and i >= 2 = s(1) + 1 gives n >= 1.
+    """
     if i < 2:
         raise IndexError(f"rows start at index 2, got {i}")
     n = (math.isqrt(8 * (i - 1) + 1) - 1) // 2
-    while triangular(n + 1) < i:
-        n += 1
-    while triangular(n) >= i:
-        n -= 1
     return n, i - triangular(n)
 
 
@@ -130,6 +133,8 @@ def verify_claims(
     after an interior peak, and alpha(m) K^m must peak strictly inside the
     scanned m-range.  The comparisons are exact; claim1 and claim2 at m = 0
     compare values built by the same expressions, so their margins are 0.
+    j_max may not pass seqs.max_b_index(), the last b index the depth
+    declares.
 
     Claim 2 compares every pair but keeps O(j_max) rows: for each n, a row
     per failing pair in m order, or, when all pass, one witness row, the
@@ -141,6 +146,9 @@ def verify_claims(
     """
     if j_max < 3:
         raise ValueError(f"j_max must be >= 3, got {j_max}")
+    if j_max > seqs.max_b_index():
+        raise ValueError(f"j_max {j_max} is past the declared rows: "
+                         f"seqs.max_b_index() is {seqs.max_b_index()} at depth {seqs.depth}")
     # every index the scans read is at most j_max; tabulate once
     lb = [seqs.log2_b(i) for i in range(j_max + 1)]
     la = [seqs.log2_alpha(i) for i in range(j_max + 1)]

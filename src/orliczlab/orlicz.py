@@ -397,7 +397,6 @@ def compute_cq(
     grid: list[tuple[float, ...]] = []
     logs: list[float] = []
     slope_best = -math.inf
-    slope_arg = (0, 0)
     for mm in range(1, m_max + 1):
         for nn in range(1, n_max + 1):
             grid.append((float(mm), float(nn)))
@@ -405,11 +404,7 @@ def compute_cq(
             s = logb[mm + nn] - logb[nn] + mm * (q - 1.0)
             if s > slope_best:
                 slope_best = s
-                slope_arg = (mm, nn)
-    report = RatioReport(grid, logs, TREND_INCONCLUSIVE, {
-        "slope_bound_log2": 1.0 + slope_best,
-        "slope_bound_arg": slope_arg,
-    })
+    report = RatioReport(grid, logs, TREND_INCONCLUSIVE, {"slope_bound_log2": 1.0 + slope_best})
     am, an = report.arg_sup
     if am <= m_max - 1 and an <= n_max - 1:
         _, wide_logM = M.segment_tables(2 * (m_max + n_max))

@@ -174,7 +174,14 @@ def modular(M: DyadicOrliczFunction, x: FiniteVector, rho: LogReal) -> LogReal:
         raise ValueError(f"modular scale rho must be positive, got {rho}")
     if x.is_zero:
         return ZERO
-    logs = [M.eval_log2(v - rho.log2mag) for v in x.sorted_log2_magnitudes()]
+    # M is convex with M(0) = 0, so M(t) <= (t / t_1) M(t_1) for t <= t_1: a
+    # coordinate r binades below the largest t_1 adds 2^(log2 M(t) - top) <=
+    # 2^r, up to the rounding of the two log2 M values and their arguments,
+    # under 2^-8 each up to the table cap (while t_1 / rho < 2^(2^44)).  Past
+    # rule (e)'s horizon the exponent is below -1077, and 2.0 ** e is 0.0 for
+    # e <= -1075, so the cut terms are the 0.0 that fsum would add.
+    mags = x.sorted_log2_magnitudes()
+    logs = [M.eval_log2(v - rho.log2mag) for v in mags if v - mags[0] >= _HORIZON]
     top = max(logs)
     return LogReal.from_log2(top + math.log2(math.fsum(2.0 ** (v - top) for v in logs)))
 

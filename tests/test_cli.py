@@ -8,7 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from orliczlab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, SuiteConfig, main
+from orliczlab.cli import (
+    _OPTIONS,
+    EXIT_CHECK_FAILED,
+    EXIT_OK,
+    EXIT_USAGE,
+    SuiteConfig,
+    _build_parser,
+    _config_from_args,
+    main,
+)
 from orliczlab.reports import CheckRow, Report, emit_report
 
 IDENT_FN = "kind = pow2_poly\na = 0\nb = 0\nc = 0\n"
@@ -184,6 +193,31 @@ class TestErrors:
         assert captured.err.startswith("orliczlab: ") and captured.err.count("\n") == 1
         assert named in captured.err
 
+    def test_unknown_flag_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", "--bogus", "1"])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_unwritable_out_is_one_line(self, files, tmp_path, capsys):
+        out = tmp_path / "no" / "dir" / "f.csv"
+        code = main(["probe", "--function", files["squares.fn"], "--depth", "4", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("orliczlab: ") and captured.err.count("\n") == 1
+        assert str(out) in captured.err
+
+    def test_claims_depth_past_the_declared_rows(self, files, capsys):
+        # a depth-20 construction declares b up to index 231
+        assert main(["claims", "--function", files["ce.fn"], "--depth", "231"]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["claims", "--function", files["ce.fn"], "--depth", "232"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "j_max 232 " in captured.err and "max_b_index() is 231 " in captured.err
+
     def test_claims_needs_counterexample_kind(self, files):
         code = main(["claims", "--function", files["ident.fn"], "--depth", "10"])
         assert code == EXIT_USAGE
@@ -214,6 +248,74 @@ class TestConfigFile:
         cfg.write_text("wibble = 3\n", encoding="utf-8")
         code = main(["claims", "--config", str(cfg)])
         assert code == EXIT_USAGE
+
+
+# per option: a value that does not read or is refused, and what the error
+# line must contain; a path option's line names the path
+MALFORMED = {
+    "function_path": ("{tmp}/missing.fn", "{tmp}/missing.fn"),
+    "vector_path": ("{tmp}/missing.vec", "{tmp}/missing.vec"),
+    "m": ("x", "m = 'x': "),
+    "depth": ("2.5", "depth = '2.5': "),
+    "k_list": ("2,x", "k_list = '2,x': "),
+    "q": ("two", "q = 'two': "),
+    "seed": ("1e3", "seed = '1e3': "),
+    "out": ("{tmp}/no/dir/r.txt", "{tmp}/no/dir/r.txt"),
+    "fmt": ("xml", "unknown format 'xml'"),
+}
+
+# per option: a config value and a flag value, read, distinct from the default
+SETTINGS = {
+    "function_path": ("a.fn", "b.fn", "a.fn", "b.fn"),
+    "vector_path": ("a.vec", "b.vec", "a.vec", "b.vec"),
+    "m": ("3", "4", 3, 4),
+    "depth": ("5", "6", 5, 6),
+    "k_list": ("2 4", "3,5", [2, 4], [3, 5]),
+    "q": ("1.5", "2.5", 1.5, 2.5),
+    "seed": ("7", "8", 7, 8),
+    "out": ("a.csv", "b.csv", "a.csv", "b.csv"),
+    "fmt": ("csv", "json", "csv", "json"),
+}
+
+
+class TestOptions:
+    def test_tables_cover_every_option(self):
+        assert set(MALFORMED) == set(SETTINGS) == set(_OPTIONS)
+
+    @pytest.mark.parametrize("key", sorted(MALFORMED))
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_malformed_value_is_named_in_one_line(self, files, tmp_path, capsys, key, source):
+        bad, named = (v.format(tmp=tmp_path) for v in MALFORMED[key])
+        values = {"function_path": files["squares.fn"], "vector_path": files["v.vec"], key: bad}
+        argv = ["norm"]
+        if source == "flag":
+            for k, v in values.items():
+                argv += [_OPTIONS[k][0], v]
+        else:
+            cfg = tmp_path / "suite.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("orliczlab: ") and captured.err.count("\n") == 1
+        assert named in captured.err
+
+    @pytest.mark.parametrize("key", sorted(SETTINGS))
+    def test_flag_and_config_line_set_each_option(self, tmp_path, key):
+        in_config, in_flag, from_config, from_flag = SETTINGS[key]
+        assert from_config != getattr(SuiteConfig("norm"), key) != from_flag
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(f"{key} = {in_config}\n", encoding="utf-8")
+        flag = [_OPTIONS[key][0], in_flag]
+        for argv, want in (
+            (flag, from_flag),
+            (["--config", str(cfg)], from_config),
+            (["--config", str(cfg)] + flag, from_flag),
+        ):
+            config = _config_from_args(_build_parser().parse_args(["norm"] + argv))
+            assert getattr(config, key) == want
 
 
 class TestDeterminism:

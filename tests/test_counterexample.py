@@ -136,6 +136,12 @@ class TestSequences:
         )
         assert covered == list(range(2, triangular(seqs.depth) + seqs.depth + 2))
 
+    def test_row_of_index_against_the_rows(self):
+        # the rows s(n) + 1 .. s(n) + n + 1 in order, up to index 100 000
+        expected = ((n, k) for n in range(1, 500) for k in range(1, n + 2))
+        for i, nk in zip(range(2, 100_001), expected):
+            assert row_of_index(i) == nk
+
     def test_validation_rejects_bad_depth(self):
         with pytest.raises(ValueError):
             gen_sequences(0)
@@ -214,6 +220,14 @@ class TestClaims:
     def test_jmax_validation(self, seqs):
         with pytest.raises(ValueError):
             verify_claims(seqs, 2, [2])
+
+    def test_jmax_past_the_declared_rows(self):
+        # depth 3 declares b up to index s(3) + 4 = 10; depth 20 up to 231
+        assert verify_claims(gen_sequences(3), 10, [2]).summary["failures"] == 0
+        with pytest.raises(ValueError, match=r"j_max 11 .*max_b_index\(\) is 10 "):
+            verify_claims(gen_sequences(3), 11, [2])
+        with pytest.raises(ValueError, match=r"j_max 3000 .*max_b_index\(\) is 231 "):
+            verify_claims(gen_sequences(20), 3000, [2])
 
     def test_shrunk_alpha_keeps_a_row_per_failing_pair(self):
         bad = _ShrunkAlpha(30)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import types
 from fractions import Fraction
 
@@ -734,6 +735,38 @@ class TestUnderflowHorizon:
         assert triple_norm(M, eta, x)[0] == triple_norm(M, eta, one)[0]
         assert vectors_mod._prefix_norms_log2(M, [0.0, -e]) == 2 * _prefix_norms_log2(M, [0.0])
         # the tables are still those of a fresh function
+        assert M.segment_tables(0) == make_dyadic_plf(squares_slopes()).segment_tables(0)
+
+    @staticmethod
+    def modular_of_every_term(M, x, rho):
+        """`modular` with M evaluated at every coordinate, however far down."""
+        logs = [M.eval_log2(v - rho.log2mag) for v in x.sorted_log2_magnitudes()]
+        top = max(logs)
+        return LogReal.from_log2(top + math.log2(math.fsum(2.0 ** (v - top) for v in logs)))
+
+    @pytest.mark.parametrize("gauge", sorted(GOLDEN_GAUGES))
+    def test_straddling_tails_keep_the_modular(self, gauge):
+        M = make_dyadic_plf(GOLDEN_GAUGES[gauge]())
+        rng = random.Random(f"modular-horizon-{gauge}")
+        cut = 0
+        for rel in self.straddling(M, rng):
+            x = FiniteVector._from_lists(range(1, len(rel) + 1), [1] * len(rel),
+                                         [v + 5.0 for v in rel])
+            cut += rel[-1] < vectors_mod._HORIZON
+            for rho in (luxemburg_norm(M, x), LogReal.two_pow(rng.uniform(-20.0, 8.0))):
+                assert modular(M, x, rho) == self.modular_of_every_term(M, x, rho)
+        assert cut > 0
+
+    @pytest.mark.parametrize("e", [3_000_000, 5_000_000])
+    def test_modular_builds_no_deep_table(self, e):
+        M = make_dyadic_plf(squares_slopes())
+        one = FiniteVector({1: LogReal.one()})
+        x = FiniteVector({1: LogReal.one(), 2: LogReal.two_pow(-e)})
+        rho = luxemburg_norm(M, x)
+        start = time.perf_counter()
+        got = modular(M, x, rho)
+        assert time.perf_counter() - start < 0.1
+        assert got == modular(M, one, rho)
         assert M.segment_tables(0) == make_dyadic_plf(squares_slopes()).segment_tables(0)
 
     @pytest.mark.parametrize("gauge", sorted(GOLDEN_GAUGES))
