@@ -70,8 +70,9 @@ class SuiteConfig:
             raise ValueError(f"unknown command {self.command!r}; choose from {COMMANDS}")
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}; choose from {FORMATS}")
-        if self.m < 1 or self.depth < 1:
-            raise ValueError("ranges must be positive")
+        for name in ("m", "depth"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} = {getattr(self, name)}: must be >= 1")
         if any(k < 2 for k in self.k_list):
             raise ValueError("k-list entries must be >= 2")
 
@@ -207,6 +208,13 @@ def _int_list(raw: str) -> list[int]:
     return [int(tok) for tok in raw.replace(",", " ").split()]
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
+
+
 # SuiteConfig field -> (flag, reader of flag and config values, help, metavar)
 _OPTIONS = {
     "function_path": ("--function", str, "function spec file", None),
@@ -214,7 +222,7 @@ _OPTIONS = {
     "m": ("--m", int, "scaling exponent / first grid range", None),
     "depth": ("--depth", int, "scan depth / second grid range", None),
     "k_list": ("--k-list", _int_list, "comma-separated scaling factors", None),
-    "q": ("--q", float, "power exponent for the cq scan", None),
+    "q": ("--q", _finite_float, "power exponent for the cq scan", None),
     "seed": ("--seed", int, "seed for randomized suites", None),
     "out": ("--out", str, "output path (default stdout)", None),
     "fmt": ("--format", str, "output format", "{" + ",".join(FORMATS) + "}"),

@@ -135,6 +135,7 @@ class DyadicOrliczFunction:
         self._logb: list[float] = []   # log2 b(n)
         self._logM: list[float] = []   # log2 M(2^(-n))
         self._depth = -1
+        self._unit_inverse: float | None = None  # log2 M^(-1)(1), once asked for
         # the first block reads b(0 .. 8 + _LOOKAHEAD) and checks them, so a
         # bad slope sequence raises here
         self._ensure_depth(8)
@@ -204,6 +205,15 @@ class DyadicOrliczFunction:
         return [self.eval_log2(float(v)) for v in u]
 
     # -- inversion --------------------------------------------------------------
+
+    def unit_inverse_log2(self) -> float:
+        """log2 M^(-1)(1), where every norm walk starts; computed on the first
+        request and kept, since table entries never change.  Not computed at
+        construction: some valid slope sequences have no M^(-1)(1) in range,
+        and a failed request raises each time."""
+        if self._unit_inverse is None:
+            self._unit_inverse = self.inverse_log2(0.0)
+        return self._unit_inverse
 
     def inverse_log2(self, ylog: float) -> float:
         """log2 of M^(-1)(y) for y = 2^ylog."""
@@ -389,8 +399,8 @@ def compute_cq(
     [1, 2 n_max] does not raise it by more than _TREND_BAND; otherwise it is
     'inconclusive'.
     """
-    if q < 1.0:
-        raise ValueError(f"exponent q must be >= 1, got {q}")
+    if not 1.0 <= q < math.inf:
+        raise ValueError(f"exponent q must be a finite real >= 1, got {q}")
     if m_max < 1 or n_max < 1:
         raise ValueError("grid ranges must be >= 1")
     logb, logM = M.segment_tables(m_max + n_max + 1)

@@ -21,7 +21,7 @@ from typing import Callable
 
 from .logreal import LogReal, ZERO
 from .orlicz import TREND_INCONCLUSIVE, DyadicOrliczFunction, RatioReport, ratio_inf
-from .vectors import FiniteVector, _prefix_norms_log2
+from .vectors import FiniteVector, _prefix_norms, _prefix_norms_log2
 
 # slack used when locating maxima / attainment among norm values that each
 # carry their own rounding; ties resolve to the smallest index
@@ -30,6 +30,7 @@ _TIE_SLACK_LOG2 = 1e-11
 _TAIL_GAP = 0.5
 # breakpoints scanned below each t_max for a b_k
 _BK_SCAN_DEPTH = 64
+_LN2 = math.log(2.0)
 
 
 class EtaInfeasibleError(ValueError):
@@ -204,29 +205,148 @@ def build_renorm_scheme(M: DyadicOrliczFunction, m: int, k_max: int) -> RenormSc
 # -- the renormed value ------------------------------------------------------
 
 
-def _renormed(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector) -> tuple[float, int, int]:
-    """log2 |||x|||, the smallest k attaining it and the growth index of a
-    nonzero x, within the tie slack, from one prefix walk.  They depend on
-    x's sorted magnitudes alone and table entries never change, so x keeps
-    them for this M and eta, compared by identity.
+def _renormed(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector) -> tuple[float, int]:
+    """log2 |||x||| and the smallest k attaining it within the tie slack, for
+    a nonzero x, from one prefix walk.  They depend on x's sorted magnitudes
+    alone and table entries never change, so x keeps them for this M and
+    eta, compared by identity.
+
+    The walk stops at the first head k after which no head can exceed the
+    best float value so far.  Let h_k be head k and t_i = a_i / ||h_k||; for
+    j > k, eta_j <= eta_{k+1} and ||h_j|| <= ||x||.  At rho = ||h_k|| the
+    head's modular is 1, so the full modular is 1 + T_k with
+    T_k = sum_{i>k} M(t_i).  M is convex with M(0) = 0, so
+    M(lambda t) <= lambda M(t) for lambda <= 1, and lambda = 1 / (1 + T_k)
+    gives ||x|| <= ||h_k|| (1 + T_k).  The same convexity makes M(t) / t
+    nondecreasing, so when t_{k+1} <= 2^-n with n >= 0,
+    T_k <= T^_k = M(2^-n) 2^n sum_{i>k} t_i; when the next point has t > 1
+    the walk goes on.  No later exact value exceeds
+    log2 eta_{k+1} + log2 ||h_k|| + log2 (1 + T^_k), and
+    `_tail_room` adds delta_k for the rounding, so every head
+    not walked has a float value below best.  The maximum is therefore the
+    same, and the attaining k, at most the argmax, is among the heads walked.
     """
     memo = x._renorm
     if memo is not None and memo[0] is M and memo[1] is eta:
         return memo[2]
     sorted_log2 = x.sorted_log2_magnitudes()
-    eta_log2 = eta.ensure_valid(len(sorted_log2) + 1)
-    head_norms = _prefix_norms_log2(M, sorted_log2)
-    vals = [eta_log2[k] + h for k, h in enumerate(head_norms, start=1)]
-    best = max(vals)
-    # each loop stops by k = N: at the maximum, and since log2 eta_N > 0
-    attaining = growth = 0
-    while vals[attaining] < best - _TIE_SLACK_LOG2:
-        attaining += 1
-    while vals[growth] < head_norms[-1] - _TIE_SLACK_LOG2:
-        growth += 1
-    record = best, attaining + 1, growth + 1
+    size = len(sorted_log2)
+    eta_log2 = eta.ensure_valid(size + 1)
+    top = sorted_log2[0]
+    floor, log2, expm1 = math.floor, math.log2, math.expm1
+    logb: list[float] = []
+    logM: list[float] = []
+    tails: list[float] = []
+    vals = []
+    best = -math.inf
+    for k, h in enumerate(_prefix_norms(M, sorted_log2), start=1):
+        v = eta_log2[k] + h
+        vals.append(v)
+        if v > best:
+            best = v
+        if k == size:
+            break
+        gap = best - eta_log2[k + 1] - h
+        d = h - sorted_log2[k]
+        if gap > 0.0 and d >= 0.0:
+            n = floor(d)
+            if n >= len(logM):
+                logb, logM = M.segment_tables(0)
+                # M(2^-n) 2^n only grows as n falls, so the table held
+                # serves: the stop asks for no table down to a point
+                if n >= len(logM):
+                    n = len(logM) - 1
+            # log2 (1 + T) < g is log2 T < g + log2 (1 - 2^-g); with the
+            # next point alone in the tail and no delta_k this is a filter
+            # that settles most heads in O(1)
+            if logM[n] + n - d < gap + log2(-expm1(-gap * _LN2)):
+                room = _tail_room(logb, logM, best, eta_log2[k + 1], top, h, d, size)
+                # the tail sum is at most (N - k) 2^(rel_{k+1}); only when
+                # that is too coarse is the exact sum taken
+                if sorted_log2[k] - top + log2(size - k) < room:
+                    break
+                if size - k > 1 and room > -math.inf:
+                    if not tails:
+                        # tails[i] = sum_{j >= i} 2^(rel_j), a term that
+                        # rounds to 0.0 held at 2^-1074
+                        tails = list(accumulate([2.0 ** (v - top) or 5e-324
+                                                 for v in reversed(sorted_log2)]))
+                        tails.reverse()
+                    if log2(tails[k]) < room:
+                        break
+    record = best, _first_reaching(vals, best)
     x._renorm = (M, eta, record)
     return record
+
+
+def _first_reaching(vals: list[float], target: float) -> int:
+    """Smallest 1-based k with vals[k - 1] within the tie slack of target; one must be."""
+    k = 0
+    while vals[k] < target - _TIE_SLACK_LOG2:
+        k += 1
+    return k + 1
+
+
+# The stop margin delta_k.  With u = 2^-53, let s = top - h_k (head k's
+# root), d = h_k - log2 a_{k+1}, g = best - log2 eta_{k+1} - h_k and
+#   Q = |top| + |s| + log2 eta_{k+1} + g + 2d + n_hi + max |log2 b(n)| + 2,
+# the maximum over the first point's segments n_lo..n_hi below.  A stop
+# needs log2 (1 + T^) + delta_k < g, and then every root of heads k..N lies
+# in [s - g - 1/2, s + 1/2] (each within 1/4 of exact, as follows), which
+# bounds n_1 and the frame's magnitudes there.
+#
+# One root.  The walk's s is sigma = log2 (1 - C) / B of a segment line that
+# is valid at s (rules (b), (d)) or at the s before it (a step that did not
+# fall).  Each term of C and B is a power of two whose exponent is rounded,
+# by u times Q plus the point's depth X below the frame, and such a term
+# weighs at most 2^-X in its sum; with X 2^-X <= 0.54, and the rounding of
+# rel, of the tables (under 4 u (|log2 M| + 2)), of fsum and of the logs,
+# sigma is within 2^-48 (Q + N) of the exact value of its line.  The line
+# meets F = sum M(t_i) at s, with slope ln 2 (1 - C) = ln 2 sum b(n_i) t_i in
+# log2 s, and F's own slope is at least ln 2 F (convexity), so the exact
+# root lies within E = Lambda 2^-48 (Q + N) of s, for Lambda >= 1 - C.  As
+# b(n) t <= 2 M(2t), allowing for the segment's rounding, and M(t) / t is
+# nondecreasing, Lambda <= 4 (M(t') / t') sum t_i for any t' >= 2 t_1, and
+# sum t_i <= N 2^(s + 1/2); `lam` takes t' = 2^-m, or, when m < 0,
+# M(t') / t' <= M(1) + b(0) <= 2 max(M(1), b(0)).
+#
+# The test.  delta_k covers E for h_k, for the t_{k+1} that sets n (so n is
+# taken at d - delta_k) and for every later float head value; the table
+# value M(2^-n), whose rounding weighs min(1, T^) in log2 (1 + T^); the far
+# points that tails hold at 2^-1074; and the bound's own sums.  That is
+# under 2^-46 (1 + Lambda)(Q + N); delta_k takes 2^-42, a factor of 16 to
+# spare.
+def _tail_room(logb: list[float], logM: list[float], best: float, eta_next: float,
+               top: float, h: float, d: float, size: int) -> float:
+    """The largest log2 sum_{i>k} 2^(rel_i) below which the walk stops at
+    head k: best > log2 eta_{k+1} + h_k + log2 (1 + T^_k) + delta_k (see
+    `_renormed`); -inf when no tail is small enough.  logb and logM are M's
+    tables as held, down to the first point's segment at least."""
+    s = top - h
+    gap = best - eta_next - h
+    m = math.floor(-s - 1.5)
+    lam = (logM[m] + m if m >= 0 else 1.0 + max(logM[0], logb[0])) + s + 2.5
+    n_hi = math.floor(gap - s) + 1
+    if n_hi < 0:
+        n_hi = 0
+    # lam >= 41 makes delta_k >= Q > gap; later roots past the tables held
+    # are left to the walk
+    if lam >= 41.0 or n_hi >= len(logb):
+        return -math.inf
+    n_lo = math.floor(-s) - 1
+    # log2 b is nonincreasing, so its largest magnitude over n_lo..n_hi is at an end
+    q = (abs(top) + abs(s) + eta_next + gap + 2.0 * d + n_hi
+         + max(logb[n_lo if n_lo > 0 else 0], -logb[n_hi]) + 2.0)
+    # 2^-42 (1 + Lambda)(Q + N), with 1 + Lambda <= 2^(max(lam, 0) + 1) N
+    delta = (q + size) * size * 2.0 ** ((lam if lam > 0.0 else 0.0) - 41.0)
+    room = gap - delta
+    n = math.floor(d - delta)
+    if room <= 0.0 or n < 0:
+        return -math.inf
+    if n >= len(logM):
+        n = len(logM) - 1
+    # log2 T^_k = log2 M(2^-n) + n + s + log2 sum, against log2 (1 + T^_k) < room
+    return room + math.log2(-math.expm1(-room * _LN2)) - logM[n] - n - s
 
 
 def triple_norm(
@@ -240,7 +360,7 @@ def triple_norm(
     """
     if x.is_zero:
         return ZERO, 0
-    best, attaining, _ = _renormed(M, eta, x)
+    best, attaining = _renormed(M, eta, x)
     return LogReal.from_log2(best), attaining
 
 
@@ -265,7 +385,7 @@ def head_attainment_index(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVe
     """
     if x.is_zero:
         return 0
-    _, k0, _ = _renormed(M, eta, x)
+    _, k0 = _renormed(M, eta, x)
     mags = x.log2mags
     # a stable sort keeps tied magnitudes in position order
     order = sorted(range(len(mags)), key=mags.__getitem__, reverse=True)
@@ -286,4 +406,9 @@ def growth_index(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector) -> 
         if v > prev:
             raise ValueError(f"coordinates must be nonincreasing, violated at index {i}")
         prev = v
-    return _renormed(M, eta, x)[2]
+    # log2 ||x|| is the last root of the whole walk, which the renormed
+    # record may stop short of, so the index walks every prefix itself
+    head_norms = _prefix_norms_log2(M, x.sorted_log2_magnitudes())
+    eta_log2 = eta.ensure_valid(len(head_norms) + 1)
+    return _first_reaching([eta_log2[k] + h for k, h in enumerate(head_norms, start=1)],
+                           head_norms[-1])

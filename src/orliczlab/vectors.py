@@ -23,7 +23,10 @@ point's two terms, and five rules keep it cheap:
     appends the new coordinate's terms at that root.  `prefix_roots` does
     this for every prefix in one frame, with the expressions of `_terms` and
     `_step`, and asks for tables only when the new segment is past those it
-    holds: table entries never change, so fewer requests keep the bits.
+    holds: table entries never change, so fewer requests keep the bits.  It
+    yields each root as it reaches it, so a caller that needs only the first
+    prefixes (the renormed value, which stops once no later head can reach
+    its maximum) walks no further.
 (b) Stop on repeated segments.  After a step the walk re-segments; if no n_i
     moved, the next step would return the same value, so it stops there.
 (c) Partial recompute.  Only the terms of points that changed segment are
@@ -56,7 +59,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
+from itertools import chain
 from operator import add, neg
 
 from .logreal import LogReal, ZERO
@@ -217,25 +221,38 @@ def _norm_log2(M: DyadicOrliczFunction, sorted_log2: list[float]) -> float:
     rel = [v - top for v in sorted_log2]
     if rel[-1] < _HORIZON:  # rule (e), tested on the smallest point alone
         del rel[bisect_right(rel, -_HORIZON, key=neg):]
-    return top - _NewtonWalk(M, M.inverse_log2(0.0)).root(rel)
+    return top - _NewtonWalk(M, M.unit_inverse_log2()).root(rel)
 
 
-def _prefix_norms_log2(M: DyadicOrliczFunction, sorted_log2: list[float]) -> list[float]:
-    """log2 Luxemburg norms of every prefix of a nonincreasing magnitude list.
+def _prefix_norms(M: DyadicOrliczFunction, sorted_log2: list[float]) -> Iterator[float]:
+    """log2 Luxemburg norms of the prefixes of a nonempty nonincreasing
+    magnitude list, each yielded as the walk reaches it.
 
     One walk serves every prefix: adding a coordinate raises the modular, so
-    the root of prefix k - 1 is a valid start for prefix k (rule (a)).
+    the root of prefix k - 1 is a valid start for prefix k (rule (a)).  A
+    consumer that stops early leaves the later prefixes unwalked.
     """
     top = sorted_log2[0]
     rel = [v - top for v in sorted_log2]
     if rel[-1] < _HORIZON:  # rule (e)
         del rel[bisect_right(rel, -_HORIZON, key=neg):]
-    walk = _NewtonWalk(M, M.inverse_log2(0.0))
-    roots = walk.prefix_roots(rel)
-    for _ in range(len(sorted_log2) - len(rel)):
+    walk = _NewtonWalk(M, M.unit_inverse_log2())
+    heads = map(top.__sub__, walk.prefix_roots(rel))
+    if len(rel) == len(sorted_log2):
+        return heads
+    return chain(heads, _far_heads(walk, top, len(sorted_log2) - len(rel)))
+
+
+def _far_heads(walk: "_NewtonWalk", top: float, count: int) -> Iterator[float]:
+    """The heads that add the `count` points past the horizon to a finished walk."""
+    for _ in range(count):
         # a point past the horizon adds 0.0 terms: settle from the held ones
-        roots.append(walk._settle(walk.s, walk._step()))
-    return [top - s for s in roots]
+        yield top - walk._settle(walk.s, walk._step())
+
+
+def _prefix_norms_log2(M: DyadicOrliczFunction, sorted_log2: list[float]) -> list[float]:
+    """log2 Luxemburg norms of every prefix of a nonincreasing magnitude list."""
+    return list(_prefix_norms(M, sorted_log2))
 
 
 class _NewtonWalk:
@@ -288,17 +305,18 @@ class _NewtonWalk:
         self._terms(logb, logM, range(start, len(rel)))
         return self._settle(s, self._step())
 
-    def prefix_roots(self, rels: Iterable[float]) -> list[float]:
-        """Append the points one at a time and return the root after each.
+    def prefix_roots(self, rels: Iterable[float]) -> Iterator[float]:
+        """Append the points one at a time and yield the root after each.
 
         Each prefix gives the bits of `root((r,))` (rule (a)).  `_settle` runs
-        only when its first test, made here, cannot stop the walk.
+        only when its first test, made here, cannot stop the walk.  The held
+        state is written back when the points run out, so a walk left
+        suspended between roots must not be used again.
         """
         M, rel, neg_c, b_terms = self.M, self.rel, self.neg_c, self.b_terms
         s, reach, top, scale, seg = self.s, self.reach, self.top, self.scale, self.seg
         floor, log2, fsum = math.floor, math.log2, math.fsum
         logb = logM = []
-        roots = []
         for r in rels:
             n = floor(-s - r)
             if n < 0:
@@ -323,9 +341,8 @@ class _NewtonWalk:
                 self.reach = reach
                 s = self._settle(s, nxt)
                 reach, top, scale, seg = self.reach, self.top, self.scale, self.seg
-            roots.append(s)
+            yield s
         self.s, self.reach = s, reach
-        return roots
 
     def _settle(self, seg_s: float, nxt: float) -> float:
         """Walk on from nxt, the first step from the segments taken at seg_s, to the root.

@@ -218,6 +218,20 @@ class TestErrors:
         assert captured.err.count("\n") == 1
         assert "j_max 232 " in captured.err and "max_b_index() is 231 " in captured.err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["renorm", "--m", "0"], "m = 0: must be >= 1"),
+        (["probe", "--m", "0"], "m = 0: must be >= 1"),
+        (["renorm", "--depth", "0"], "depth = 0: must be >= 1"),
+        (["cq", "--q", "nan"], "q = 'nan': must be a finite number"),
+        (["cq", "--q", "inf"], "q = 'inf': must be a finite number"),
+    ])
+    def test_range_and_exponent_name_the_option(self, files, capsys, argv, named):
+        code = main(argv + ["--function", files["squares.fn"]])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == f"orliczlab: {named}\n"
+
     def test_claims_needs_counterexample_kind(self, files):
         code = main(["claims", "--function", files["ident.fn"], "--depth", "10"])
         assert code == EXIT_USAGE

@@ -8,6 +8,9 @@ import pytest
 
 from orliczlab import (
     CounterexampleSequences,
+    DyadicOrliczFunction,
+    EtaSequence,
+    FiniteVector,
     LogReal,
     RatioReport,
     SlopeSequenceError,
@@ -16,6 +19,7 @@ from orliczlab import (
     gen_sequences,
     geometric_slopes,
     identity_slopes,
+    luxemburg_norm,
     make_dyadic_plf,
     parse_function_spec,
     ratio_inf,
@@ -23,6 +27,7 @@ from orliczlab import (
     slopes_from_list,
     slopes_pow2_poly,
     squares_slopes,
+    triple_norm,
 )
 from orliczlab import orlicz as orlicz_mod
 from orliczlab.logreal import log2_add, log2_sub
@@ -230,6 +235,31 @@ class TestInverseBisection:
         with pytest.raises(ValueError, match="below the supported scale"):
             M.inverse_log2(-20.0)
 
+    def test_unit_inverse_asked_once_and_kept(self, monkeypatch):
+        M, ref_M = make_dyadic_plf(squares_slopes()), make_dyadic_plf(squares_slopes())
+        calls = []
+        inverse = DyadicOrliczFunction.inverse_log2
+
+        def counted(self, ylog):
+            calls.append(ylog)
+            return inverse(self, ylog)
+
+        monkeypatch.setattr(DyadicOrliczFunction, "inverse_log2", counted)
+        x = FiniteVector.from_floats([0.5, 0.25, 2.0])
+        first = luxemburg_norm(M, x)
+        assert calls == [0.0]
+        assert luxemburg_norm(M, x) == first
+        assert triple_norm(M, EtaSequence.one_plus_pow2(), x)[0].log2mag > first.log2mag
+        assert calls == [0.0]
+        assert M.unit_inverse_log2() == inverse(ref_M, 0.0)
+
+    def test_unit_inverse_error_is_not_kept(self):
+        # the construction succeeds, and each request fails on its own
+        M = make_dyadic_plf(slopes_pow2_poly(0.0, 0.0, -1e308))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="below the supported scale"):
+                M.unit_inverse_log2()
+
     def test_unreachable_argument_refused_before_the_table_grows(self):
         # log2 b(n) = 1e308: M(2^-n) >= b(n) 2^(-n-1) stays far above 1 at
         # every depth up to the cap
@@ -368,6 +398,11 @@ class TestRatioInf:
 
 
 class TestComputeCq:
+    @pytest.mark.parametrize("q", [0.5, math.nan, math.inf])
+    def test_exponent_must_be_finite_and_at_least_one(self, ident, q):
+        with pytest.raises(ValueError, match="exponent q must be a finite real >= 1"):
+            compute_cq(ident, q, 4, 4)
+
     def test_identity_q1(self, ident):
         rep = compute_cq(ident, 1.0, 10, 10)
         assert rep.supremum.to_float() == pytest.approx(1.0, rel=1e-12)

@@ -15,6 +15,7 @@ from orliczlab import (
     build_renorm_scheme,
     compute_bk,
     compute_bk_at_scale,
+    gen_sequences,
     geometric_slopes,
     growth_index,
     head_attainment_index,
@@ -22,6 +23,7 @@ from orliczlab import (
     luxemburg_norm,
     make_dyadic_plf,
     rearrange,
+    slopes_pow2_poly,
     triple_norm,
 )
 from orliczlab import renorm as renorm_mod
@@ -416,6 +418,29 @@ def attainment_vectors(rng, count):
         )
 
 
+def counted_walks(patch):
+    """Log the walks the renorm views make from now on: ["record", roots
+    computed] for each record walk, and ["full", N] for each walk of every
+    prefix (growth_index's)."""
+    log = []
+    record_walk, full_walk = renorm_mod._prefix_norms, renorm_mod._prefix_norms_log2
+
+    def record(M, sorted_log2):
+        entry = ["record", 0]
+        log.append(entry)
+        for h in record_walk(M, sorted_log2):
+            entry[1] += 1
+            yield h
+
+    def full(M, sorted_log2):
+        log.append(["full", len(sorted_log2)])
+        return full_walk(M, sorted_log2)
+
+    patch.setattr(renorm_mod, "_prefix_norms", record)
+    patch.setattr(renorm_mod, "_prefix_norms_log2", full)
+    return log
+
+
 class TestAttainmentAgainstBisection:
     @pytest.mark.parametrize("gauge", ["squares", "geometric"])
     def test_same_index_in_one_walk(self, gauge, monkeypatch):
@@ -425,22 +450,16 @@ class TestAttainmentAgainstBisection:
         else:
             M = make_dyadic_plf(geometric_slopes())
             eta = EtaSequence.one_plus_pow2()
-        walks = []
-        walk = renorm_mod._prefix_norms_log2
-
-        def counted(M, sorted_log2):
-            walks.append(len(sorted_log2))
-            return walk(M, sorted_log2)
-
         rng = random.Random(f"attain-{gauge}")
         for x in attainment_vectors(rng, 2000):
             want = ref_head_attainment_search(M, eta, x)
-            walks.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(renorm_mod, "_prefix_norms_log2", counted)
+                walks = counted_walks(patch)
                 got = head_attainment_index(M, eta, x)
             assert got == want, x
-            assert walks == [x.support_size]
+            # one record walk, of at most N prefix roots
+            assert len(walks) == 1 and walks[0][0] == "record"
+            assert 1 <= walks[0][1] <= x.support_size
 
     def test_flat_eta_index_holds_the_attaining_head(self, ident):
         # with a flat eta on l1 every coordinate adds to the value, so the
@@ -509,16 +528,7 @@ class TestRenormedRecord:
 
     @pytest.fixture
     def walks(self, monkeypatch):
-        """The support sizes of the prefix walks the renorm views make."""
-        sizes = []
-        walk = renorm_mod._prefix_norms_log2
-
-        def counted(M, sorted_log2):
-            sizes.append(len(sorted_log2))
-            return walk(M, sorted_log2)
-
-        monkeypatch.setattr(renorm_mod, "_prefix_norms_log2", counted)
-        return sizes
+        return counted_walks(monkeypatch)
 
     @staticmethod
     def c05_vectors(rng, count):
@@ -529,6 +539,8 @@ class TestRenormedRecord:
                                 for i in range(1, n + 1)})
 
     def test_one_walk_serves_every_view(self, squares, eta_pow2, walks):
+        # one record walk serves triple_norm and head_attainment_index, also
+        # on the rearrangement; growth_index walks every prefix itself
         for x in self.c05_vectors(random.Random("one-walk"), 200):
             walks.clear()
             triple_norm(squares, eta_pow2, x)
@@ -537,13 +549,14 @@ class TestRenormedRecord:
             head_attainment_index(squares, eta_pow2, x)
             growth_index(squares, eta_pow2, packed)
             head_attainment_index(squares, eta_pow2, packed)
-            assert walks == [x.support_size]
+            assert [w[0] for w in walks] == ["record", "full"]
+            assert 1 <= walks[0][1] <= x.support_size == walks[1][1]
         # a packed vector, starting from growth_index
         x = FiniteVector({i: LogReal(1, -i / 4) for i in range(1, 41)})
         walks.clear()
         assert growth_index(squares, eta_pow2, x) <= triple_norm(squares, eta_pow2, x)[1]
         head_attainment_index(squares, eta_pow2, x)
-        assert walks == [40]
+        assert [w[0] for w in walks] == ["full", "record"] and walks[0][1] == 40
 
     def test_other_function_or_eta_walks_again(self, squares, geom, eta_pow2, walks):
         # a twin gauge is a different object, so it gets a walk of its own
@@ -559,7 +572,7 @@ class TestRenormedRecord:
                 assert head_attainment_index(M, eta, x) == ref_head_attainment_index(M, eta, x)
             # the slot holds one record: the return to (squares, eta_pow2)
             # walks again, and its repeat does not
-            assert walks == [x.support_size] * 5
+            assert [w[0] for w in walks] == ["record"] * 5
 
     def test_truncation_does_not_inherit(self, squares, eta_pow2, walks):
         for x in self.c05_vectors(random.Random("head-walk"), 40):
@@ -569,7 +582,7 @@ class TestRenormedRecord:
             assert head._renorm is None
             walks.clear()
             value, k = triple_norm(squares, eta_pow2, head)
-            assert walks == [head.support_size]
+            assert [w[0] for w in walks] == ["record"]
             assert (value.log2mag, k) == ref_triple_norm_log2(
                 squares, eta_pow2, head.sorted_log2_magnitudes())
 
@@ -604,3 +617,92 @@ class TestRenormedRecord:
             assert growth_index(M, eta, packed) == ref_growth_index(M, eta, packed)
             attaining.append(k)
         assert {79, 148} <= set(attaining[-10:])
+
+
+class TestEarlyStop:
+    """The record walk stops once no later head can reach the best value so
+    far; every view keeps the bits of the full walk."""
+
+    GAUGES = {
+        "l1": identity_slopes,
+        "geometric": geometric_slopes,
+        "pow2_poly(0.25,0,0)": lambda: slopes_pow2_poly(0.25, 0.0, 0.0),
+        "counterexample45": lambda: gen_sequences(45).slopes(),
+        "squares": squares_slopes,
+    }
+
+    @staticmethod
+    def second_point_past_one(M, rng, count):
+        """The second point has t > 1 at head 1's root: head 1 is
+        a_1 / M^(-1)(1), so a_2 > 2^(-u) a_1 with u = log2 M^(-1)(1)."""
+        u = M.inverse_log2(0.0)
+        for _ in range(count):
+            top = rng.uniform(-8.0, 8.0)
+            mags = [top, top - rng.uniform(0.0, 0.99 * u)]
+            mags += [rng.uniform(top - 40.0, mags[1]) for _ in range(rng.randint(0, 20))]
+            rng.shuffle(mags)
+            yield FiniteVector({i: LogReal(rng.choice((-1, 1)), e) for i, e in enumerate(mags, 1)})
+
+    @staticmethod
+    def straddling(rng, count):
+        """Heads within 30 binades of the largest and tails 1 070 to 1 090 down."""
+        for _ in range(count):
+            mags = [0.0] + [rng.uniform(-30.0, 0.0) for _ in range(rng.randint(0, 8))]
+            mags += [rng.uniform(-1090.0, -1070.0) for _ in range(rng.randint(1, 8))]
+            yield FiniteVector({i: LogReal(1, e + 3.0) for i, e in enumerate(mags, 1)})
+
+    @pytest.mark.parametrize("gauge", sorted(GAUGES))
+    def test_views_match_the_full_walk(self, gauge, monkeypatch):
+        M = make_dyadic_plf(self.GAUGES[gauge]())
+        etas = [EtaSequence.one_plus_pow2()]
+        if gauge == "squares":
+            etas.append(build_renorm_scheme(M, 1, 52).eta)
+        rng = random.Random(f"early-stop-{gauge}")
+        vectors = list(TestRenormedRecord.c05_vectors(rng, 150))
+        vectors += list(attainment_vectors(rng, 150))
+        crossing = list(self.second_point_past_one(M, rng, 60))
+        vectors += crossing + list(self.straddling(rng, 40))
+        early = 0
+        for eta in etas:
+            for x in vectors:
+                sl = x.sorted_log2_magnitudes()
+                packed = rearrange(x)
+                with monkeypatch.context() as patch:
+                    walks = counted_walks(patch)
+                    value, k = triple_norm(M, eta, x)
+                    m = head_attainment_index(M, eta, x)
+                    g = growth_index(M, eta, packed)
+                assert (value.log2mag, k) == ref_triple_norm_log2(M, eta, sl), x
+                assert m == ref_head_attainment_index(M, eta, x), x
+                assert g == ref_growth_index(M, eta, packed), x
+                roots = walks[0][1]
+                early += roots < x.support_size
+                if x in crossing and M.inverse_log2(0.0) > 0.0:
+                    # t_2 > 1: T_1 has no bound from the table, so head 1 never stops
+                    assert roots >= 2
+        assert early > len(vectors) // 4
+
+    def test_roots_per_record_on_c05(self, squares, monkeypatch):
+        """200 seeded c05 vectors on `squares` with the scheme eta.
+
+        Measured: 419 prefix roots, 2.1 per vector, where the attaining head
+        is 1.4 on average; walking every prefix computes the sum of the
+        supports, 5 083.
+        """
+        eta = build_renorm_scheme(squares, 1, 52).eta
+        walks = counted_walks(monkeypatch)
+        total = 0
+        for x in TestRenormedRecord.c05_vectors(random.Random("work-contract"), 200):
+            triple_norm(squares, eta, x)
+            total += x.support_size
+        roots = sum(w[1] for w in walks)
+        assert len(walks) == 200
+        assert roots <= 500 < total
+
+    def test_no_stop_walks_every_prefix(self, ident, eta_pow2, monkeypatch):
+        # on l1 equal coordinates give ||h_k|| = k a, and every head's value
+        # beats the one before, so no head can be ruled out
+        x = FiniteVector({i: LogReal(1, -3.0) for i in range(1, 41)})
+        walks = counted_walks(monkeypatch)
+        value, k = triple_norm(ident, eta_pow2, x)
+        assert k == 40 and walks == [["record", 40]]
