@@ -205,11 +205,13 @@ def build_renorm_scheme(M: DyadicOrliczFunction, m: int, k_max: int) -> RenormSc
 # -- the renormed value ------------------------------------------------------
 
 
-def _renormed(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector) -> tuple[float, int]:
-    """log2 |||x||| and the smallest k attaining it within the tie slack, for
-    a nonzero x, from one prefix walk.  They depend on x's sorted magnitudes
-    alone and table entries never change, so x keeps them for this M and
-    eta, compared by identity.
+def _renormed(M: DyadicOrliczFunction, eta: EtaSequence,
+              x: FiniteVector) -> tuple[float, int, int | None]:
+    """log2 |||x|||, the smallest k attaining it within the tie slack and,
+    when the walk reached the last prefix, the growth index, for a nonzero x,
+    from one prefix walk.  They depend on x's sorted magnitudes alone and
+    table entries never change, so x keeps them for this M and eta, compared
+    by identity.
 
     The walk stops at the first head k after which no head can exceed the
     best float value so far.  Let h_k be head k and t_i = a_i / ||h_k||; for
@@ -233,58 +235,70 @@ def _renormed(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector) -> tup
     size = len(sorted_log2)
     eta_log2 = eta.ensure_valid(size + 1)
     top = sorted_log2[0]
-    floor, log2, expm1 = math.floor, math.log2, math.expm1
+    floor, log2 = math.floor, math.log2
+    # every delta_k is at least this: `_tail_room`'s Q is at least 2
+    least_delta = (size + 2) * size * 2.0 ** -41
     logb: list[float] = []
     logM: list[float] = []
     tails: list[float] = []
-    vals = []
+    heads: list[float] = []
     best = -math.inf
     for k, h in enumerate(_prefix_norms(M, sorted_log2), start=1):
+        heads.append(h)
         v = eta_log2[k] + h
-        vals.append(v)
         if v > best:
             best = v
         if k == size:
             break
         gap = best - eta_log2[k + 1] - h
+        if gap <= least_delta:  # then no tail leaves room
+            continue
         d = h - sorted_log2[k]
-        if gap > 0.0 and d >= 0.0:
-            n = floor(d)
+        if d < 0.0:
+            continue
+        n = floor(d)
+        if n >= len(logM):
+            logb, logM = M.segment_tables(0)
+            # M(2^-n) 2^n only grows as n falls, so the table held serves:
+            # the stop asks for no table down to a point
             if n >= len(logM):
-                logb, logM = M.segment_tables(0)
-                # M(2^-n) 2^n only grows as n falls, so the table held
-                # serves: the stop asks for no table down to a point
-                if n >= len(logM):
-                    n = len(logM) - 1
-            # log2 (1 + T) < g is log2 T < g + log2 (1 - 2^-g); with the
-            # next point alone in the tail and no delta_k this is a filter
-            # that settles most heads in O(1)
-            if logM[n] + n - d < gap + log2(-expm1(-gap * _LN2)):
-                room = _tail_room(logb, logM, best, eta_log2[k + 1], top, h, d, size)
-                # the tail sum is at most (N - k) 2^(rel_{k+1}); only when
-                # that is too coarse is the exact sum taken
-                if sorted_log2[k] - top + log2(size - k) < room:
-                    break
-                if size - k > 1 and room > -math.inf:
-                    if not tails:
-                        # tails[i] = sum_{j >= i} 2^(rel_j), a term that
-                        # rounds to 0.0 held at 2^-1074
-                        tails = list(accumulate([2.0 ** (v - top) or 5e-324
-                                                 for v in reversed(sorted_log2)]))
-                        tails.reverse()
-                    if log2(tails[k]) < room:
-                        break
-    record = best, _first_reaching(vals, best)
+                n = len(logM) - 1
+        # the test with the next point alone in T^_k and delta_k at its
+        # least: a filter that rules out most heads before `_tail_room`
+        if not log2(1.0 + 2.0 ** (logM[n] + n - d)) + least_delta < gap:
+            continue
+        room = _tail_room(logb, logM, best, eta_log2[k + 1], top, h, d, size)
+        # the N - k later terms are at most N - k times the first, which is
+        # their sum when one remains; the suffix sums settle the rest, built
+        # once per vector on the first head that needs them
+        if sorted_log2[k] - top + log2(size - k) < room:
+            break
+        if size - k > 1 and room > -math.inf:
+            if not tails:
+                tails = _suffix_sums(sorted_log2)
+            if log2(tails[k]) < room:
+                break
+    # the last root is log2 ||x|| only when the walk reached it
+    growth = _first_reaching(eta_log2, heads, heads[-1]) if k == size else None
+    record = best, _first_reaching(eta_log2, heads, best), growth
     x._renorm = (M, eta, record)
     return record
 
 
-def _first_reaching(vals: list[float], target: float) -> int:
-    """Smallest 1-based k with vals[k - 1] within the tie slack of target; one must be."""
-    k = 0
-    while vals[k] < target - _TIE_SLACK_LOG2:
+def _first_reaching(eta_log2: list[float], heads: list[float], target: float) -> int:
+    """Smallest k with log2 eta_k + heads[k - 1] within the tie slack of target; one must be."""
+    k = 1
+    while eta_log2[k] + heads[k - 1] < target - _TIE_SLACK_LOG2:
         k += 1
-    return k + 1
+    return k
+
+
+def _suffix_sums(sorted_log2: list[float]) -> list[float]:
+    """[sum_{j >= i} 2^(rel_j)] for 0-based i, a term that rounds to 0.0 held at 2^-1074."""
+    top = sorted_log2[0]
+    sums = list(accumulate([2.0 ** (v - top) or 5e-324 for v in reversed(sorted_log2)]))
+    sums.reverse()
+    return sums
 
 
 # The stop margin delta_k.  With u = 2^-53, let s = top - h_k (head k's
@@ -345,7 +359,8 @@ def _tail_room(logb: list[float], logM: list[float], best: float, eta_next: floa
         return -math.inf
     if n >= len(logM):
         n = len(logM) - 1
-    # log2 T^_k = log2 M(2^-n) + n + s + log2 sum, against log2 (1 + T^_k) < room
+    # log2 T^_k = log2 M(2^-n) + n + s + log2 sum, and log2 (1 + T^_k) < room
+    # is log2 T^_k < room + log2 (1 - 2^-room)
     return room + math.log2(-math.expm1(-room * _LN2)) - logM[n] - n - s
 
 
@@ -360,7 +375,7 @@ def triple_norm(
     """
     if x.is_zero:
         return ZERO, 0
-    best, attaining = _renormed(M, eta, x)
+    best, attaining, _ = _renormed(M, eta, x)
     return LogReal.from_log2(best), attaining
 
 
@@ -385,7 +400,7 @@ def head_attainment_index(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVe
     """
     if x.is_zero:
         return 0
-    _, k0 = _renormed(M, eta, x)
+    _, k0, _ = _renormed(M, eta, x)
     mags = x.log2mags
     # a stable sort keeps tied magnitudes in position order
     order = sorted(range(len(mags)), key=mags.__getitem__, reverse=True)
@@ -406,9 +421,11 @@ def growth_index(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector) -> 
         if v > prev:
             raise ValueError(f"coordinates must be nonincreasing, violated at index {i}")
         prev = v
-    # log2 ||x|| is the last root of the whole walk, which the renormed
-    # record may stop short of, so the index walks every prefix itself
-    head_norms = _prefix_norms_log2(M, x.sorted_log2_magnitudes())
-    eta_log2 = eta.ensure_valid(len(head_norms) + 1)
-    return _first_reaching([eta_log2[k] + h for k, h in enumerate(head_norms, start=1)],
-                           head_norms[-1])
+    best, attaining, growth = _renormed(M, eta, x)
+    if growth is None:
+        # the record's walk stopped short of log2 ||x||, the last root of the
+        # whole walk, so the index walks every prefix and x keeps it
+        heads = _prefix_norms_log2(M, x.sorted_log2_magnitudes())
+        growth = _first_reaching(eta.ensure_valid(len(heads) + 1), heads, heads[-1])
+        x._renorm = (M, eta, (best, attaining, growth))
+    return growth

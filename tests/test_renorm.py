@@ -421,7 +421,7 @@ def attainment_vectors(rng, count):
 def counted_walks(patch):
     """Log the walks the renorm views make from now on: ["record", roots
     computed] for each record walk, and ["full", N] for each walk of every
-    prefix (growth_index's)."""
+    prefix (growth_index's, when the record stopped short of N)."""
     log = []
     record_walk, full_walk = renorm_mod._prefix_norms, renorm_mod._prefix_norms_log2
 
@@ -540,23 +540,31 @@ class TestRenormedRecord:
 
     def test_one_walk_serves_every_view(self, squares, eta_pow2, walks):
         # one record walk serves triple_norm and head_attainment_index, also
-        # on the rearrangement; growth_index walks every prefix itself
+        # on the rearrangement, and growth_index too when it reached N; a
+        # record that stopped short adds one walk of every prefix, once
+        stopped = 0
         for x in self.c05_vectors(random.Random("one-walk"), 200):
+            n = x.support_size
             walks.clear()
             triple_norm(squares, eta_pow2, x)
             packed = rearrange(x)
             triple_norm(squares, eta_pow2, packed)
             head_attainment_index(squares, eta_pow2, x)
+            assert [w[0] for w in walks] == ["record"] and 1 <= walks[0][1] <= n
+            roots = walks[0][1]
+            stopped += roots < n
+            growth_index(squares, eta_pow2, packed)
             growth_index(squares, eta_pow2, packed)
             head_attainment_index(squares, eta_pow2, packed)
-            assert [w[0] for w in walks] == ["record", "full"]
-            assert 1 <= walks[0][1] <= x.support_size == walks[1][1]
+            assert walks == [["record", roots]] + ([["full", n]] if roots < n else [])
+        assert 100 < stopped < 200
         # a packed vector, starting from growth_index
         x = FiniteVector({i: LogReal(1, -i / 4) for i in range(1, 41)})
         walks.clear()
         assert growth_index(squares, eta_pow2, x) <= triple_norm(squares, eta_pow2, x)[1]
         head_attainment_index(squares, eta_pow2, x)
-        assert [w[0] for w in walks] == ["full", "record"] and walks[0][1] == 40
+        roots = walks[0][1]
+        assert walks == [["record", roots]] + ([["full", 40]] if roots < 40 else [])
 
     def test_other_function_or_eta_walks_again(self, squares, geom, eta_pow2, walks):
         # a twin gauge is a different object, so it gets a walk of its own
@@ -666,16 +674,20 @@ class TestEarlyStop:
         for eta in etas:
             for x in vectors:
                 sl = x.sorted_log2_magnitudes()
-                packed = rearrange(x)
                 with monkeypatch.context() as patch:
                     walks = counted_walks(patch)
                     value, k = triple_norm(M, eta, x)
                     m = head_attainment_index(M, eta, x)
+                    roots = walks[0][1]
+                    # the rearrangement holds x's record, so growth_index
+                    # walks again only when that record stopped short
+                    packed = rearrange(x)
                     g = growth_index(M, eta, packed)
+                n = x.support_size
+                assert walks == [["record", roots]] + ([["full", n]] if roots < n else [])
                 assert (value.log2mag, k) == ref_triple_norm_log2(M, eta, sl), x
                 assert m == ref_head_attainment_index(M, eta, x), x
                 assert g == ref_growth_index(M, eta, packed), x
-                roots = walks[0][1]
                 early += roots < x.support_size
                 if x in crossing and M.inverse_log2(0.0) > 0.0:
                     # t_2 > 1: T_1 has no bound from the table, so head 1 never stops
@@ -706,3 +718,6 @@ class TestEarlyStop:
         walks = counted_walks(monkeypatch)
         value, k = triple_norm(ident, eta_pow2, x)
         assert k == 40 and walks == [["record", 40]]
+        # the walk reached log2 ||x||, so the record holds the growth index
+        assert growth_index(ident, eta_pow2, x) == ref_growth_index(ident, eta_pow2, x)
+        assert walks == [["record", 40]]
