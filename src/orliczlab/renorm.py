@@ -21,7 +21,7 @@ from typing import Callable
 
 from .logreal import LogReal, ZERO
 from .orlicz import TREND_INCONCLUSIVE, DyadicOrliczFunction, RatioReport, ratio_inf
-from .vectors import FiniteVector, _prefix_norms, _prefix_norms_log2
+from .vectors import FiniteVector, _norm_log2, _prefix_norms
 
 # slack used when locating maxima / attainment among norm values that each
 # carry their own rounding; ties resolve to the smallest index
@@ -206,12 +206,12 @@ def build_renorm_scheme(M: DyadicOrliczFunction, m: int, k_max: int) -> RenormSc
 
 
 def _renormed(M: DyadicOrliczFunction, eta: EtaSequence,
-              x: FiniteVector) -> tuple[float, int, int | None]:
-    """log2 |||x|||, the smallest k attaining it within the tie slack and,
-    when the walk reached the last prefix, the growth index, for a nonzero x,
-    from one prefix walk.  They depend on x's sorted magnitudes alone and
-    table entries never change, so x keeps them for this M and eta, compared
-    by identity.
+              x: FiniteVector) -> tuple[float, int, list[float]]:
+    """log2 |||x|||, the smallest k attaining it within the tie slack and the
+    log2 head norms the walk computed, for a nonzero x, from one prefix walk.
+    They depend on x's sorted magnitudes alone and table entries never
+    change, so x keeps them for this M and eta, compared by identity.  Only
+    this function writes the record; `rearrange` hands it on.
 
     The walk stops at the first head k after which no head can exceed the
     best float value so far.  Let h_k be head k and t_i = a_i / ||h_k||; for
@@ -278,9 +278,7 @@ def _renormed(M: DyadicOrliczFunction, eta: EtaSequence,
                 tails = _suffix_sums(sorted_log2)
             if log2(tails[k]) < room:
                 break
-    # the last root is log2 ||x|| only when the walk reached it
-    growth = _first_reaching(eta_log2, heads, heads[-1]) if k == size else None
-    record = best, _first_reaching(eta_log2, heads, best), growth
+    record = best, _first_reaching(eta_log2, heads, best), heads
     x._renorm = (M, eta, record)
     return record
 
@@ -409,7 +407,12 @@ def head_attainment_index(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVe
 
 def growth_index(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector) -> int:
     """Smallest k with ||x|| <= eta_k * ||(a_1..a_k)|| for positive
-    nonincreasing packed coordinates; k = N always qualifies."""
+    nonincreasing packed coordinates; k = N always qualifies.
+
+    log2 ||x|| is the record's last head if its walk reached N, else one cold
+    root (the same bits when both end on the same segments); best >= log2
+    eta_N ||x||, so the index is at most the attaining k, a head walked.
+    """
     if x.is_zero:
         raise ValueError("growth index needs a nonzero vector")
     if x.max_index != x.support_size:
@@ -421,11 +424,7 @@ def growth_index(M: DyadicOrliczFunction, eta: EtaSequence, x: FiniteVector) -> 
         if v > prev:
             raise ValueError(f"coordinates must be nonincreasing, violated at index {i}")
         prev = v
-    best, attaining, growth = _renormed(M, eta, x)
-    if growth is None:
-        # the record's walk stopped short of log2 ||x||, the last root of the
-        # whole walk, so the index walks every prefix and x keeps it
-        heads = _prefix_norms_log2(M, x.sorted_log2_magnitudes())
-        growth = _first_reaching(eta.ensure_valid(len(heads) + 1), heads, heads[-1])
-        x._renorm = (M, eta, (best, attaining, growth))
-    return growth
+    _, _, heads = _renormed(M, eta, x)
+    norm = (heads[-1] if len(heads) == x.support_size
+            else _norm_log2(M, x.sorted_log2_magnitudes()))
+    return _first_reaching(eta.ensure_valid(len(heads) + 1), heads, norm)

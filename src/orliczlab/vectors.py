@@ -49,7 +49,8 @@ The walk gives the same bits as re-solving every prefix from its start with
 every term recomputed at every step: each term comes from the same
 expression on the same frame, math.fsum rounds the exact sum correctly so the
 order of the terms does not matter, and breakpoint-table entries never change
-once computed.
+once computed.  Each walk returns the step from its final segments, so a
+cold root and the last prefix root of one list agree when both end on them.
 
 The walk works on Python floats relative to the largest coordinate, so
 magnitudes far outside the double range are fine.
@@ -250,11 +251,6 @@ def _far_heads(walk: "_NewtonWalk", top: float, count: int) -> Iterator[float]:
         yield top - walk._settle(walk.s, walk._step())
 
 
-def _prefix_norms_log2(M: DyadicOrliczFunction, sorted_log2: list[float]) -> list[float]:
-    """log2 Luxemburg norms of every prefix of a nonincreasing magnitude list."""
-    return list(_prefix_norms(M, sorted_log2))
-
-
 class _NewtonWalk:
     """Newton walk to the s > 0 with sum_i M(s 2^rel[i]) = 1, where 0 = rel[0] >= rel[1] >= ...
 
@@ -348,7 +344,10 @@ class _NewtonWalk:
         """Walk on from nxt, the first step from the segments taken at seg_s, to the root.
 
         Each pass first asks for the tables down to the segment of the
-        smallest point.
+        smallest point.  Whichever test ends it, the walk returns the step
+        from its final segments, not the s it came from; only a point within
+        rounding of a breakpoint at the root leaves those segments
+        route-dependent.
         """
         M, rel, seg, reach = self.M, self.rel, self.seg, self.reach
         floor = math.floor
@@ -387,6 +386,7 @@ class _NewtonWalk:
             self._terms(logb, logM, moved)
             nxt = self._step()
             if not nxt < s:
+                s = nxt
                 break
         self.s, self.reach = s, reach
         return s

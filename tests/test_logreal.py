@@ -208,12 +208,29 @@ class TestConversionRendering:
         assert LogReal.parse(token) == ZERO
 
     def test_edges_of_the_double_range_and_pow2_tokens_unchanged(self):
-        # the smallest subnormal and the largest double are still decimals
-        assert LogReal.parse("5e-324").log2mag == -1074.0
+        # the smallest subnormal and the largest double are still decimals;
+        # 5e-324 is read as the decimal, not as the double 2^-1074 it rounds to
+        assert LogReal.parse("5e-324").log2mag == -1073.982774648618
         assert LogReal.parse("1.7976931348623157e308").log2mag == math.log2(1.7976931348623157e308)
         assert LogReal.parse("2^-1328.77").log2mag == -1328.77
         assert LogReal.parse("-2^5000").log2mag == 5000.0
         assert LogReal.parse("2^-inf") == ZERO
+
+
+    @pytest.mark.parametrize("token", ["1e-310", "1e-320", "3e-322", "5e-324", "-7.5e-321"])
+    def test_subnormal_decimals_are_read_exactly(self, token):
+        import mpmath as mp
+
+        q = Fraction(token)
+        with mp.workprec(200):
+            want = float(mp.log(abs(mp.mpf(q.numerator) / q.denominator), 2))
+        got = LogReal.parse(token)
+        assert got.sign == (1 if q > 0 else -1)
+        assert abs(got.log2mag - want) <= math.ulp(want)
+
+    @pytest.mark.parametrize("token", ["2.2250738585072014e-308", "1e-300", "0.3", "7e300"])
+    def test_normal_decimals_keep_their_bits(self, token):
+        assert LogReal.parse(token).log2mag == math.log2(float(token))
 
 
 class TestToleranceType:

@@ -28,7 +28,7 @@ from orliczlab import (
 )
 from orliczlab import renorm as renorm_mod
 from orliczlab import squares_slopes
-from orliczlab.vectors import _prefix_norms_log2
+from orliczlab.vectors import _prefix_norms
 
 
 def scaled(x, lam):
@@ -351,7 +351,7 @@ def ref_triple_norm_log2(M, eta, sorted_log2):
     """max over k of log2 eta_k + log2 ||(x*_1..x*_k)||, and the smallest k
     within the tie slack of it."""
     eta_log2 = eta.ensure_valid(len(sorted_log2) + 1)
-    vals = [eta_log2[k] + h for k, h in enumerate(_prefix_norms_log2(M, sorted_log2), start=1)]
+    vals = [eta_log2[k] + h for k, h in enumerate(_prefix_norms(M, sorted_log2), start=1)]
     best = max(vals)
     slack = renorm_mod._TIE_SLACK_LOG2
     return best, next(k for k, v in enumerate(vals, start=1) if v >= best - slack)
@@ -367,7 +367,7 @@ def ref_head_attainment_index(M, eta, x):
 def ref_growth_index(M, eta, x):
     sorted_log2 = x.sorted_log2_magnitudes()
     eta_log2 = eta.ensure_valid(len(sorted_log2) + 1)
-    head_norms = _prefix_norms_log2(M, sorted_log2)
+    head_norms = list(_prefix_norms(M, sorted_log2))
     slack = renorm_mod._TIE_SLACK_LOG2
     return next(k for k, h in enumerate(head_norms, start=1)
                 if eta_log2[k] + h >= head_norms[-1] - slack)
@@ -420,10 +420,10 @@ def attainment_vectors(rng, count):
 
 def counted_walks(patch):
     """Log the walks the renorm views make from now on: ["record", roots
-    computed] for each record walk, and ["full", N] for each walk of every
-    prefix (growth_index's, when the record stopped short of N)."""
+    computed] for each record walk, and ["cold", N] for each cold root of N
+    points (growth_index's, when the record stopped short of N)."""
     log = []
-    record_walk, full_walk = renorm_mod._prefix_norms, renorm_mod._prefix_norms_log2
+    record_walk, cold_root = renorm_mod._prefix_norms, renorm_mod._norm_log2
 
     def record(M, sorted_log2):
         entry = ["record", 0]
@@ -432,12 +432,12 @@ def counted_walks(patch):
             entry[1] += 1
             yield h
 
-    def full(M, sorted_log2):
-        log.append(["full", len(sorted_log2)])
-        return full_walk(M, sorted_log2)
+    def cold(M, sorted_log2):
+        log.append(["cold", len(sorted_log2)])
+        return cold_root(M, sorted_log2)
 
     patch.setattr(renorm_mod, "_prefix_norms", record)
-    patch.setattr(renorm_mod, "_prefix_norms_log2", full)
+    patch.setattr(renorm_mod, "_norm_log2", cold)
     return log
 
 
@@ -540,8 +540,9 @@ class TestRenormedRecord:
 
     def test_one_walk_serves_every_view(self, squares, eta_pow2, walks):
         # one record walk serves triple_norm and head_attainment_index, also
-        # on the rearrangement, and growth_index too when it reached N; a
-        # record that stopped short adds one walk of every prefix, once
+        # on the rearrangement, and growth_index too when it reached N; on a
+        # record that stopped short each growth_index adds one cold root, and
+        # no view walks every prefix outside the record
         stopped = 0
         for x in self.c05_vectors(random.Random("one-walk"), 200):
             n = x.support_size
@@ -556,7 +557,7 @@ class TestRenormedRecord:
             growth_index(squares, eta_pow2, packed)
             growth_index(squares, eta_pow2, packed)
             head_attainment_index(squares, eta_pow2, packed)
-            assert walks == [["record", roots]] + ([["full", n]] if roots < n else [])
+            assert walks == [["record", roots]] + ([["cold", n]] * 2 if roots < n else [])
         assert 100 < stopped < 200
         # a packed vector, starting from growth_index
         x = FiniteVector({i: LogReal(1, -i / 4) for i in range(1, 41)})
@@ -564,7 +565,7 @@ class TestRenormedRecord:
         assert growth_index(squares, eta_pow2, x) <= triple_norm(squares, eta_pow2, x)[1]
         head_attainment_index(squares, eta_pow2, x)
         roots = walks[0][1]
-        assert walks == [["record", roots]] + ([["full", 40]] if roots < 40 else [])
+        assert walks == [["record", roots]] + ([["cold", 40]] if roots < 40 else [])
 
     def test_other_function_or_eta_walks_again(self, squares, geom, eta_pow2, walks):
         # a twin gauge is a different object, so it gets a walk of its own
@@ -680,11 +681,12 @@ class TestEarlyStop:
                     m = head_attainment_index(M, eta, x)
                     roots = walks[0][1]
                     # the rearrangement holds x's record, so growth_index
-                    # walks again only when that record stopped short
+                    # adds one cold root, and only when that record stopped
+                    # short
                     packed = rearrange(x)
                     g = growth_index(M, eta, packed)
                 n = x.support_size
-                assert walks == [["record", roots]] + ([["full", n]] if roots < n else [])
+                assert walks == [["record", roots]] + ([["cold", n]] if roots < n else [])
                 assert (value.log2mag, k) == ref_triple_norm_log2(M, eta, sl), x
                 assert m == ref_head_attainment_index(M, eta, x), x
                 assert g == ref_growth_index(M, eta, packed), x
@@ -718,6 +720,7 @@ class TestEarlyStop:
         walks = counted_walks(monkeypatch)
         value, k = triple_norm(ident, eta_pow2, x)
         assert k == 40 and walks == [["record", 40]]
-        # the walk reached log2 ||x||, so the record holds the growth index
+        # the walk reached log2 ||x||, so growth_index reads it from the
+        # record's last head and takes no cold root
         assert growth_index(ident, eta_pow2, x) == ref_growth_index(ident, eta_pow2, x)
         assert walks == [["record", 40]]

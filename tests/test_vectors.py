@@ -5,6 +5,8 @@ import random
 import time
 import types
 from fractions import Fraction
+from itertools import accumulate
+from operator import add
 
 import pytest
 
@@ -33,7 +35,6 @@ from orliczlab import counterexample as counterexample_mod
 from orliczlab import renorm as renorm_mod
 from orliczlab import vectors as vectors_mod
 from orliczlab.counterexample import default_probe_t
-from orliczlab.vectors import _prefix_norms_log2
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,12 @@ def geom():
 @pytest.fixture(scope="module")
 def squares():
     return make_dyadic_plf(squares_slopes())
+
+
+def all_prefix_norms(M, sorted_log2):
+    """log2 norms of every prefix, from the module's walk as it stands (so a
+    patched walk serves too)."""
+    return list(vectors_mod._prefix_norms(M, sorted_log2))
 
 
 def record(x):
@@ -395,7 +402,7 @@ class TestNewtonExactness:
         for _ in range(50):
             _, _, M, x = dyadic_case(rng)
             packed = rearrange(x)
-            walk = _prefix_norms_log2(M, x.sorted_log2_magnitudes())
+            walk = all_prefix_norms(M, x.sorted_log2_magnitudes())
             for k, got in enumerate(walk, start=1):
                 cold = luxemburg_norm(M, packed.head(k)).to_float()
                 assert 2.0 ** got == pytest.approx(cold, rel=1e-14, abs=0)
@@ -409,12 +416,19 @@ class TestNewtonExactness:
 # finally the tables themselves, compare with ==.
 
 
-def _resolve_root_log2(M, rel, s_log2):
+def _resolve_last_steps(M, rel, s_log2):
+    """The last two steps of the re-solve from s_log2: the s at which the
+    final segments are taken, and the step from them, the first that does
+    not fall."""
     nxt = _resolve_step_log2(M, rel, s_log2)
     while True:
         s_log2, nxt = nxt, _resolve_step_log2(M, rel, nxt)
         if not nxt < s_log2:
-            return s_log2
+            return s_log2, nxt
+
+
+def _resolve_root_log2(M, rel, s_log2):
+    return _resolve_last_steps(M, rel, s_log2)[1]
 
 
 def _resolve_step_log2(M, rel, s_log2):
@@ -453,6 +467,10 @@ def _resolve_prefix_norms_log2(M, sorted_log2):
     return out
 
 
+def _resolve_prefix_norms(M, sorted_log2):
+    return iter(_resolve_prefix_norms_log2(M, sorted_log2))
+
+
 GOLDEN_GAUGES = {
     "squares": squares_slopes,
     "geometric": geometric_slopes,
@@ -475,10 +493,9 @@ class TestWalkMatchesPerPrefixResolve:
             with monkeypatch.context() as patch:
                 for module, name, ref in (
                     (vectors_mod, "_norm_log2", _resolve_norm_log2),
-                    (vectors_mod, "_prefix_norms_log2", _resolve_prefix_norms_log2),
-                    (renorm_mod, "_prefix_norms_log2", _resolve_prefix_norms_log2),
-                    (renorm_mod, "_prefix_norms",
-                     lambda M, sl: iter(_resolve_prefix_norms_log2(M, sl))),
+                    (vectors_mod, "_prefix_norms", _resolve_prefix_norms),
+                    (renorm_mod, "_norm_log2", _resolve_norm_log2),
+                    (renorm_mod, "_prefix_norms", _resolve_prefix_norms),
                     (counterexample_mod, "_norm_log2", _resolve_norm_log2),
                 ):
                     patch.setattr(module, name, ref)
@@ -493,7 +510,7 @@ class TestWalkMatchesPerPrefixResolve:
         m = head_attainment_index(M, eta, x)
         truncated = [triple_norm(M, eta, x.head(j))[0].log2mag for j in (m - 1, m, x.max_index)]
         return (
-            vectors_mod._prefix_norms_log2(M, sl),
+            all_prefix_norms(M, sl),
             vectors_mod._norm_log2(M, sl),
             luxemburg_norm(M, x).log2mag,
             value.log2mag,
@@ -540,9 +557,9 @@ class TestWalkMatchesPerPrefixResolve:
         walk_M = make_dyadic_plf(squares_slopes())
         for n in (200, 800):
             sl = sorted((rng.uniform(-60.0, 4.0) for _ in range(n)), reverse=True)
-            got = (vectors_mod._prefix_norms_log2(walk_M, sl), vectors_mod._norm_log2(walk_M, sl))
+            got = (all_prefix_norms(walk_M, sl), vectors_mod._norm_log2(walk_M, sl))
             assert got == resolve(
-                lambda: (vectors_mod._prefix_norms_log2(ref_M, sl), vectors_mod._norm_log2(ref_M, sl))
+                lambda: (all_prefix_norms(ref_M, sl), vectors_mod._norm_log2(ref_M, sl))
             )
         assert walk_M.segment_tables(0) == ref_M.segment_tables(0)
 
@@ -634,9 +651,79 @@ class TestWalkMatchesPerPrefixResolve:
         M = make_dyadic_plf(squares_slopes())
         want = _resolve_prefix_norms_log2(M, sl[:200])
         monkeypatch.setattr(vectors_mod, "math", fake)
-        got = vectors_mod._prefix_norms_log2(M, sl)
+        got = all_prefix_norms(M, sl)
         assert calls <= 3 * len(sl)
         assert got[:200] == want
+
+
+def _fraction_log2(q):
+    """log2 of a positive Fraction, with one rounding of a value in (1/2, 2)."""
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    return e + math.log2(q / Fraction(2) ** e)
+
+
+class TestOneNormOnEveryRoute:
+    """The cold root of a list and the last root of its prefix walk are one
+    value: every walk returns the step from its final segments."""
+
+    @staticmethod
+    def routes(gauge):
+        """3 000 lists of 2..80 log2 magnitudes, uniform on [-40, 3]."""
+        rng = random.Random("routes-" + gauge)
+        for _ in range(3000):
+            n = rng.randint(2, 80)
+            yield sorted((rng.uniform(-40.0, 3.0) for _ in range(n)), reverse=True)
+
+    @pytest.mark.parametrize("gauge", sorted(GOLDEN_GAUGES))
+    def test_cold_root_is_the_last_prefix_root(self, gauge):
+        # before the walk returned its final step, 20 of these differed:
+        # 12 on `geometric`, 5 on `squares` and 3 on `pow2_poly_fractional`
+        M = make_dyadic_plf(GOLDEN_GAUGES[gauge]())
+        for sl in self.routes(gauge):
+            assert vectors_mod._norm_log2(M, sl) == all_prefix_norms(M, sl)[-1], sl
+
+    @pytest.mark.parametrize("gauge", ["geometric", "identity", "pow2_list", "squares"])
+    def test_a_final_step_that_rises_is_the_exact_segment_root(self, gauge):
+        """Where the last step does not fall from the s before it, the root is
+        that step, and it is rho = B / (1 - C) of its final segments.
+
+        On these gauges every b(n) is a power of two, so the segment lines
+        are exact in Fractions, with a_i = 2.0 ** rel_i and M(2^-n) summed
+        to slope 127 (the rest is below 2^-63 of it for n < 64).  Each point's
+        |a_i| / rho lies in its segment, so rho is the exact root of the
+        modular, and the walk's value is within the rounding of its terms:
+        their exponents are below 2^12 in magnitude here, so each term is
+        within 2^-41 of exact, B within 2^-41 and 1 - C within 2^-40 (each
+        -c(n) is at most b(n) t_i), which is 2^-37 in log2 with room.
+        Measured: 34 such roots on `geometric` and 6 on `squares`, all within
+        2^-51 of exact.
+        """
+        slopes = GOLDEN_GAUGES[gauge]()
+        M = make_dyadic_plf(slopes)
+        b = [Fraction(2) ** round(slopes.log2_slope(n)) for n in range(128)]
+        # bp[n] = M(2^-n) for n < 64
+        bp = list(accumulate((b[j] / 2 ** (j + 1) for j in reversed(range(128))), add))
+        bp.reverse()
+        rises = 0
+        for sl in self.routes(gauge):
+            rel = [v - sl[0] for v in sl]
+            before, root = _resolve_last_steps(M, rel, M.inverse_log2(0.0))
+            assert vectors_mod._norm_log2(M, sl) == sl[0] - root
+            if before == root:
+                continue
+            rises += 1
+            assert root > before
+            seg = [max(0, math.floor(-before - r)) for r in rel]
+            assert seg[-1] < 63
+            a = [Fraction(2.0 ** r) for r in rel]
+            C = sum((bp[n + 1] - b[n] / 2 ** (n + 1) for n in seg), Fraction(0))
+            B = sum((b[n] * ai for ai, n in zip(a, seg)), Fraction(0))
+            s_exact = (1 - C) / B
+            assert abs(root - _fraction_log2(s_exact)) < 2.0 ** -37
+            for ai, n in zip(a, seg):
+                t = ai * s_exact
+                assert Fraction(1, 2 ** (n + 1)) <= t and (n == 0 or t <= Fraction(1, 2 ** n))
+        assert rises == {"geometric": 34, "squares": 6}.get(gauge, 0)
 
 
 class TestPrefixRoots:
@@ -687,7 +774,7 @@ class TestPrefixRoots:
             return tables(self, depth)
 
         monkeypatch.setattr(DyadicOrliczFunction, "segment_tables", counting)
-        got = vectors_mod._prefix_norms_log2(M, sl)
+        got = all_prefix_norms(M, sl)
         assert calls <= 100
         assert got[:200] == want
 
@@ -722,7 +809,7 @@ class TestUnderflowHorizon:
         for rel in self.straddling(make_dyadic_plf(make()), rng):
             sl = [v + 5.0 for v in rel]
             want = _resolve_prefix_norms_log2(ref_M, sl)
-            assert vectors_mod._prefix_norms_log2(walk_M, sl) == want
+            assert all_prefix_norms(walk_M, sl) == want
             assert vectors_mod._norm_log2(walk_M, sl) == _resolve_norm_log2(ref_M, sl)
 
     @pytest.mark.parametrize("e", [3_000_000, 5_000_000])
@@ -735,7 +822,7 @@ class TestUnderflowHorizon:
         x = FiniteVector({1: LogReal.one(), 2: LogReal.two_pow(-e)})
         assert luxemburg_norm(M, x) == luxemburg_norm(M, one)
         assert triple_norm(M, eta, x)[0] == triple_norm(M, eta, one)[0]
-        assert vectors_mod._prefix_norms_log2(M, [0.0, -e]) == 2 * _prefix_norms_log2(M, [0.0])
+        assert all_prefix_norms(M, [0.0, -e]) == 2 * all_prefix_norms(M, [0.0])
         # the tables are still those of a fresh function
         assert M.segment_tables(0) == make_dyadic_plf(squares_slopes()).segment_tables(0)
 
